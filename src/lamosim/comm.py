@@ -21,7 +21,8 @@ from .hwspec import SystemSpec
 
 
 class EmptyGroup(ValueError):
-    """Collective invoked on an empty member set."""
+    """A group with no members: a collective over an empty member set, a pool
+    too small for one group of the requested width, or a role with no chiplets."""
 
 
 class CollectiveKind(Enum):

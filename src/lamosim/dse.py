@@ -28,7 +28,7 @@ from functools import partial
 from typing import Callable, Iterable, Mapping, Sequence
 
 from . import ops
-from .comm import CollectiveKind, collective_cost, link_delay, manhattan
+from .comm import CollectiveKind, EmptyGroup, collective_cost, link_delay, manhattan
 from .hwspec import (
     ChipletSpec,
     ModelSpec,
@@ -41,7 +41,6 @@ from .hwspec import (
 )
 from .mapping import (
     CapacityExceeded,
-    EmptyGroup,
     PdPlan,
     TooManyStages,
     _group_capacity_bytes,

@@ -336,9 +336,11 @@ class SystemSpec:
 
 
 class AttnVariant(Enum):
+    """Attention variants the cost models implement. MLA (a latent KV cache
+    with up-projections) is not modelled, so parse_model rejects "mla"."""
+
     MHA = "mha"
     GQA = "gqa"
-    MLA = "mla"
 
 
 @dataclass(frozen=True)

@@ -27,15 +27,11 @@ import random
 from dataclasses import dataclass
 
 from . import comm, dataflow, ops
-from .compute import CostLut, vpu_cycles
-from .comm import CollectiveKind, MeshCoord, collective_cost, link_delay, manhattan
+from .compute import vpu_cycles
+from .comm import CollectiveKind, EmptyGroup, MeshCoord, collective_cost, link_delay, manhattan
 from .hwspec import ChipletSpec, ModelSpec, Role, SystemSpec
 
 Coord = tuple[int, int]
-
-
-class EmptyGroup(ValueError):
-    """Pool too small to form a single group of the requested size."""
 
 
 class TooManyStages(ValueError):
@@ -416,9 +412,6 @@ class PdPlan:
     kv_peers: tuple[KvPeer, ...]
 
 
-_layer_cost_lut = CostLut()
-
-
 def estimate_layer_costs(model: ModelSpec, chiplet: ChipletSpec, phase: ops.Phase,
                          m_tokens: int, ctx_len: int, temp_c: float,
                          tp: int = 1) -> list[float]:
@@ -429,13 +422,9 @@ def estimate_layer_costs(model: ModelSpec, chiplet: ChipletSpec, phase: ops.Phas
     total = 0.0
     for op in op_list:
         if op.kind is ops.OpKind.GEMM:
-            key = ("layer", op.shape, chiplet.pe, chiplet.dram, chiplet.clock_hz,
-                   round(temp_c, 1), model.dtype_bytes)
-            res = _layer_cost_lut.get_or_compute(
-                key,
-                lambda s=op.shape: dataflow.search(
-                    s, chiplet.pe, chiplet.dram, temp_c,
-                    clock_hz=chiplet.clock_hz, dtype_bytes=model.dtype_bytes))
+            res = dataflow.cached_search(op.shape, chiplet.pe, chiplet.dram, temp_c,
+                                         clock_hz=chiplet.clock_hz,
+                                         dtype_bytes=model.dtype_bytes)
             total += res.cost.latency_s
         elif op.kind is ops.OpKind.VPU:
             total += vpu_cycles(op.elements, chiplet.pe) / chiplet.clock_hz

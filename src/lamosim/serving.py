@@ -35,7 +35,7 @@ import numpy as np
 
 from . import dataflow, ops
 from .comm import CollectiveKind, MeshCoord, collective_cost, link_delay, manhattan
-from .compute import CostLut, vpu_cycles
+from .compute import vpu_cycles
 from .dram import effective_bandwidth
 from .hwspec import ChipletSpec, ModelSpec, SystemSpec
 from .mapping import PdPlan, PhasePlan
@@ -241,9 +241,6 @@ def write_request_csv(m: ServingMetrics, path: str) -> None:
 # --- internal engine ------------------------------------------------------------
 
 
-_gemm_lut = CostLut()
-
-
 @dataclass(frozen=True)
 class _StageCost:
     """Cost of one pipeline stage executing one batch, per layer and total."""
@@ -390,14 +387,9 @@ class _Sim:
         records = []
         for op in op_list:
             if op.kind is ops.OpKind.GEMM:
-                lut_key = (op.shape, chiplet.pe, chiplet.dram, chiplet.clock_hz,
-                           round(temp, 1), self.model.dtype_bytes)
-                res = _gemm_lut.get_or_compute(
-                    lut_key,
-                    lambda sh=op.shape: dataflow.search(
-                        sh, chiplet.pe, chiplet.dram, temp,
-                        clock_hz=chiplet.clock_hz,
-                        dtype_bytes=self.model.dtype_bytes))
+                res = dataflow.cached_search(op.shape, chiplet.pe, chiplet.dram, temp,
+                                             clock_hz=chiplet.clock_hz,
+                                             dtype_bytes=self.model.dtype_bytes)
                 dt = res.cost.latency_s
                 comp_j += res.cost.compute.energy_j
                 dram_j += res.cost.energy_j - res.cost.compute.energy_j

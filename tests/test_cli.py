@@ -168,6 +168,16 @@ def test_simulate_explicit_plan_file(tmp_path):
     assert (echoed["decode"]["tp"], echoed["decode"]["pp"]) == (2, 1)
 
 
+def test_simulate_plan_wider_than_pool_exit3(tmp_path, capsys):
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps({"prefill": {"tp": 200, "pp": 1},
+                                "decode": {"tp": 2, "pp": 1}}))
+    code = main(["simulate", "--system", "system_ref.json", "--model", "model_tiny.json",
+                 "--trace", TRACE, "--out", str(tmp_path / "x"), "--plan", str(plan)])
+    assert code == 3
+    assert "cannot form a group of 200" in capsys.readouterr().err
+
+
 # --- gen-trace --------------------------------------------------------------------
 
 

@@ -1,9 +1,9 @@
 """Dataflow search vs. an independent brute-force enumerator.
 
 The oracle re-implements candidate enumeration and min-selection from scratch
-(including tie-breaks) and shares only the per-candidate cost evaluator, so it
-checks the search machinery rather than the cost arithmetic (which has its own
-oracles in test_compute/test_dram).
+(including tie-breaks) and shares only the scalar per-candidate cost evaluator,
+so it checks both the search machinery and the grid's numpy arithmetic against
+the scalar cost models (which have their own oracles in test_compute/test_dram).
 """
 
 from __future__ import annotations
@@ -11,9 +11,12 @@ from __future__ import annotations
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_dram, make_pe
-from lamosim.compute import GemmShape, TileMapping
+from lamosim import dataflow, ops, serving
+from lamosim.compute import CostLut, GemmShape, TileMapping
 from lamosim.dataflow import (
     DataflowResult,
     NoFeasibleMapping,
@@ -24,6 +27,8 @@ from lamosim.dataflow import (
     search,
     staged_tile_bytes,
 )
+from lamosim.dram import refresh_derate
+from lamosim.mapping import build_pd_plan, estimate_layer_costs
 
 CLOCK = 1.0e9
 
@@ -160,3 +165,93 @@ def test_hotter_dram_never_faster():
     cold = search(shape, pe, dram, 65.0, clock_hz=CLOCK, dtype_bytes=2)
     hot = search(shape, pe, dram, 105.0, clock_hz=CLOCK, dtype_bytes=2)
     assert hot.cost.latency_s >= cold.cost.latency_s
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    dims=st.tuples(*[st.integers(1, 160)] * 3),
+    base_rows=st.sampled_from([1, 2, 4, 8]),
+    n_base=st.sampled_from([1, 2, 4]),
+    sa_cols=st.integers(1, 40),
+    n_core=st.integers(1, 4),
+    sram=st.sampled_from([1, 24, 1 << 10, 8 << 10, 256 << 10]),
+    dtype_bytes=st.sampled_from([1, 2, 4]),
+    policies=st.lists(st.sampled_from(list(ReusePolicy)), max_size=4, unique=True),
+    temp=st.one_of(st.floats(40.0, 120.0),
+                   st.sampled_from([94.99, 95.0, 95.01, 104.99, 105.01])),
+)
+def test_grid_search_equals_scalar_brute_force(dims, base_rows, n_base, sa_cols, n_core,
+                                               sram, dtype_bytes, policies, temp):
+    shape = GemmShape(*dims)
+    pe = make_pe(sa_rows=base_rows * n_base, base_sa_rows=base_rows, sa_cols=sa_cols,
+                 n_core=n_core, sram_capacity_bytes=sram)
+    dram = make_dram(tsv_delay_ns=0.3, refresh_energy_per_cmd_pj=1.5)
+    policies = tuple(policies)
+    best, n_eval = brute_force(shape, pe, dram, temp, dtype_bytes, policies)
+    if best is None:
+        with pytest.raises(NoFeasibleMapping):
+            search(shape, pe, dram, temp, clock_hz=CLOCK, dtype_bytes=dtype_bytes,
+                   policies=policies)
+        return
+    got = search(shape, pe, dram, temp, clock_hz=CLOCK, dtype_bytes=dtype_bytes,
+                 policies=policies)
+    assert (got.policy, got.tiling, got.cost) == best
+    assert got.evaluated == n_eval
+    assert got.search_space_size == len(enumerate_tilings(shape, pe)) * len(policies)
+
+
+# --- the process-wide memo ---------------------------------------------------------
+
+
+@pytest.fixture
+def search_calls(monkeypatch):
+    """Empty memo; records the arguments of every search it runs."""
+    calls = []
+    real = dataflow.search
+
+    def counting(shape, pe, dram, temp_c, **kw):
+        calls.append((shape, temp_c))
+        return real(shape, pe, dram, temp_c, **kw)
+
+    monkeypatch.setattr(dataflow, "_cost_lut", CostLut())
+    monkeypatch.setattr(dataflow, "search", counting)
+    return calls
+
+
+def test_memo_one_search_per_refresh_bin(search_calls):
+    pe, dram = make_pe(), make_dram()  # retention base 85 C: bins (85, 95], (95, 105]
+    shape = GemmShape(16, 256, 512)
+    assert refresh_derate(dram, 86.0) == refresh_derate(dram, 94.5)
+    first = dataflow.cached_search(shape, pe, dram, 86.0, clock_hz=CLOCK, dtype_bytes=2)
+    again = dataflow.cached_search(shape, pe, dram, 94.5, clock_hz=CLOCK, dtype_bytes=2)
+    assert len(search_calls) == 1
+    assert again is first
+    assert again == search(shape, pe, dram, 94.5, clock_hz=CLOCK, dtype_bytes=2)
+
+
+def test_memo_searches_again_across_a_bin_boundary(search_calls):
+    pe, dram = make_pe(), make_dram()
+    shape = GemmShape(16, 256, 512)
+    assert refresh_derate(dram, 94.9) < refresh_derate(dram, 95.1)
+    cool = dataflow.cached_search(shape, pe, dram, 94.9, clock_hz=CLOCK, dtype_bytes=2)
+    hot = dataflow.cached_search(shape, pe, dram, 95.1, clock_hz=CLOCK, dtype_bytes=2)
+    assert [t for _, t in search_calls] == [94.9, 95.1]
+    assert hot.cost.latency_s > cool.cost.latency_s
+
+
+def test_layer_estimates_and_serving_share_searches(search_calls, monkeypatch,
+                                                   tiny_model, system):
+    plan = build_pd_plan(system, tiny_model, tp_prefill=1, pp_prefill=1, tp_decode=1,
+                         pp_decode=1, kv_budget_decode_bytes=1 << 20, ref_tokens=8)
+    monkeypatch.setattr(dataflow, "_cost_lut", CostLut())
+    search_calls.clear()
+    estimate_layer_costs(tiny_model, system.chiplet_types["pc"], ops.Phase.PREFILL,
+                         6, 6, 65.0)
+    gemms = {op.shape for op in ops.layer_ops(tiny_model, 1, ops.Phase.PREFILL, [(6, 6)])
+             if op.kind is ops.OpKind.GEMM}
+    assert {shape for shape, _ in search_calls} == gemms
+    assert len(search_calls) == len(gemms)
+    req = serving.Request(rid=0, arrival_s=0.0, input_len=6, output_len=1)
+    serving.simulate(system, tiny_model, plan, (req,), serving.SimConfig(len_bucket=1),
+                     temps=66.0)
+    assert len(search_calls) == len(gemms)  # the prefill stage reused every estimate

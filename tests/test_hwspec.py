@@ -151,6 +151,13 @@ def test_unknown_fields_rejected(system):
         parse_model(m)
 
 
+def test_unmodelled_attention_variant_rejected():
+    m = hwspec.model_to_dict(make_model(n_kv_heads=1, attn_variant=AttnVariant.GQA))
+    m["attn_variant"] = "mla"  # latent KV cache is not modelled
+    with pytest.raises(ConfigError, match="attn_variant"):
+        parse_model(m)
+
+
 def test_schema_version_checked(system):
     d = hwspec.system_to_dict(system)
     d["schema"] = 2
