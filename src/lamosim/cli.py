@@ -205,6 +205,10 @@ class OutDir:
         (self.path / name).write_bytes(data)
         self.hashes[name] = hashlib.sha256(data).hexdigest()
 
+    def add_file(self, name: str) -> None:
+        """Record a file that other code wrote into the directory."""
+        self.hashes[name] = hashlib.sha256((self.path / name).read_bytes()).hexdigest()
+
     def write_json(self, name: str, obj: dict) -> None:
         self.write_text(name, dump_json(obj))
 
@@ -386,18 +390,9 @@ def cmd_simulate(args) -> int:
         "thermal": thermal_sum,
     })
     write_request_csv(metrics, str(out.path / "requests.csv"))
-    out.hashes["requests.csv"] = hashlib.sha256(
-        (out.path / "requests.csv").read_bytes()).hexdigest()
-    out.write_csv(
-        "activity.csv",
-        ["chip_x", "chip_y", "pe_x", "pe_y", "start_s", "end_s", "kind",
-         "compute_j", "dram_j"],
-        [[a.pe.chip[0], a.pe.chip[1], a.pe.pe[0], a.pe.pe[1], _fmt(a.start_s),
-          _fmt(a.end_s), a.kind, _fmt(a.compute_energy_j), _fmt(a.dram_energy_j)]
-         for a in metrics.activity])
+    out.add_file("requests.csv")
     dump_trace_csv(trace, str(out.path / "trace.csv"))
-    out.hashes["trace.csv"] = hashlib.sha256(
-        (out.path / "trace.csv").read_bytes()).hexdigest()
+    out.add_file("trace.csv")
     out.finish(args.argv, configs, args.seed, t0)
 
     s = summary_dict(metrics)
@@ -427,8 +422,7 @@ def cmd_gen_trace(args) -> int:
         raise UsageError(str(e)) from None
     out = OutDir(args.out)
     dump_trace_csv(trace, str(out.path / "trace.csv"))
-    out.hashes["trace.csv"] = hashlib.sha256(
-        (out.path / "trace.csv").read_bytes()).hexdigest()
+    out.add_file("trace.csv")
     out.finish(args.argv, {}, args.seed, t0, requests=len(trace))
     print(f"gen-trace: {len(trace)} requests (source={args.source}, "
           f"rate={args.rate} rps, seed={args.seed})")

@@ -19,6 +19,10 @@ Latency and energy both come from the per-PE dataflow search, the star
 collectives, and the link model; the simulator only adds queueing on top.
 Prefill itself emits the first token, so ttft is the prefill pipeline exit
 and e2e == ttft + sum of decode gaps by construction.
+
+Stage executions add their energy into per-chiplet compute and DRAM totals
+for the thermal model; the roofline audit reads the operator records of the
+distinct (memoized) stage costs, so neither grows with the trace's length.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ import csv
 import heapq
 import itertools
 import math
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
@@ -154,18 +158,6 @@ class OpRecord:
 
 
 @dataclass(frozen=True)
-class ActivityInterval:
-    """Busy window of one PE, with its energy split for the thermal model."""
-
-    pe: MeshCoord
-    start_s: float
-    end_s: float
-    kind: str  # dominant component: "gemm" | "mem"
-    compute_energy_j: float
-    dram_energy_j: float
-
-
-@dataclass(frozen=True)
 class RequestMetrics:
     rid: int
     arrival_s: float
@@ -185,8 +177,9 @@ class ServingMetrics:
     energy_j: float
     tokens_per_joule: float
     kv_overflow: bool
-    op_log: tuple[OpRecord, ...]
-    activity: tuple[ActivityInterval, ...]
+    op_records: tuple[OpRecord, ...]  # one layer of each distinct stage cost
+    chip_compute_j: dict[tuple[int, int], float]  # dynamic energy per chiplet
+    chip_dram_j: dict[tuple[int, int], float]
 
     def ttft_percentile(self, p: float) -> float:
         return _percentile([r.ttft_s for r in self.requests], p)
@@ -349,8 +342,9 @@ class _Sim:
         self.bridge_free: dict[tuple[tuple[int, int], tuple[int, int]], float] = {}
 
         self._scost: dict[tuple, _StageCost] = {}
-        self.op_log: list[OpRecord] = []
-        self.activity: list[ActivityInterval] = []
+        self.dyn_j = 0.0
+        self.chip_compute_j: dict[tuple[int, int], float] = defaultdict(float)
+        self.chip_dram_j: dict[tuple[int, int], float] = defaultdict(float)
         self.comm_energy = 0.0
         self.last_event_t = 0.0
 
@@ -422,17 +416,14 @@ class _Sim:
         self._scost[key] = got
         return got
 
-    def _run_stage(self, ctx: _PhaseCtx, phase: ops.Phase, s: int,
-                   cost: _StageCost) -> None:
-        """Book energy, activity, and the op log for one stage execution."""
-        kind = "gemm" if cost.shard_compute_j >= cost.shard_dram_j else "mem"
+    def _run_stage(self, ctx: _PhaseCtx, s: int, cost: _StageCost) -> None:
+        """Book one stage execution's energy: each member PE's shard into the
+        run's dynamic total and its chiplet's totals, in member order."""
         for m in ctx.members[s]:
-            self.activity.append(ActivityInterval(
-                pe=m, start_s=self.now, end_s=self.now + cost.duration_s,
-                kind=kind, compute_energy_j=cost.shard_compute_j,
-                dram_energy_j=cost.shard_dram_j))
+            self.dyn_j += cost.shard_compute_j + cost.shard_dram_j
+            self.chip_compute_j[m.chip] += cost.shard_compute_j
+            self.chip_dram_j[m.chip] += cost.shard_dram_j
         self.comm_energy += cost.comm_j
-        self.op_log.extend(cost.records)
 
     def _handoff(self, ctx: _PhaseCtx, s: int, act_bytes: int) -> float:
         noc, nop = ctx.hop[s]
@@ -464,7 +455,7 @@ class _Sim:
         self.pre_pipe.busy[s] = True
         cost = self._stage_cost(self.pre, ops.Phase.PREFILL, s,
                                 self._prefill_batch_key(job))
-        self._run_stage(self.pre, ops.Phase.PREFILL, s, cost)
+        self._run_stage(self.pre, s, cost)
         if self.cfg.kv_transfer_at_qkv:
             self._schedule_kv_sends(s, job, cost, eager=True)
         self.at(self.now + cost.duration_s,
@@ -603,7 +594,7 @@ class _Sim:
         self.dec_pipe.busy[s] = True
         cost = self._stage_cost(self.dec, ops.Phase.DECODE, s,
                                 self._decode_batch_key(beat))
-        self._run_stage(self.dec, ops.Phase.DECODE, s, cost)
+        self._run_stage(self.dec, s, cost)
         self.at(self.now + cost.duration_s,
                 lambda: self._end_decode_stage(s, beat))
 
@@ -679,8 +670,7 @@ class _Sim:
             static_w += c.n_pe * c.power.leak_base_w_per_pe
             static_w += c.dram.n_layer * (c.power.dram_static_w_per_layer
                                           + c.power.refresh_w_per_layer)
-        dyn = sum(a.compute_energy_j + a.dram_energy_j for a in self.activity)
-        energy = dyn + self.comm_energy + static_w * makespan
+        energy = self.dyn_j + self.comm_energy + static_w * makespan
         return ServingMetrics(
             requests=tuple(reqs),
             makespan_s=makespan,
@@ -689,8 +679,9 @@ class _Sim:
             energy_j=energy,
             tokens_per_joule=total_tokens / energy if energy > 0 else 0.0,
             kv_overflow=self.kv_overflow,
-            op_log=tuple(self.op_log),
-            activity=tuple(self.activity),
+            op_records=tuple(r for c in self._scost.values() for r in c.records),
+            chip_compute_j=dict(self.chip_compute_j),
+            chip_dram_j=dict(self.chip_dram_j),
         )
 
 
@@ -726,8 +717,9 @@ def roofline_check(metrics: ServingMetrics, spec: SystemSpec, plan: PdPlan,
                    slack: float = 1.01) -> list[str]:
     """Operators whose achieved per-PE rate beats min(compute, AI * bw).
 
-    Returns human-readable violation strings; empty means every logged
-    operator sits on or under the roof.
+    Audits metrics.op_records, one per distinct operator cost. Returns
+    human-readable violation strings; empty means every operator sits on or
+    under the roof.
     """
     out = []
     by_phase = {}
@@ -742,7 +734,7 @@ def roofline_check(metrics: ServingMetrics, spec: SystemSpec, plan: PdPlan,
             * pe.n_mc / chiplet.dram.channels
         vpu_peak = pe.vector_regs * chiplet.clock_hz
         by_phase[phase_plan.phase] = (peak, bw, vpu_peak)
-    for i, rec in enumerate(metrics.op_log):
+    for i, rec in enumerate(metrics.op_records):
         if rec.latency_s <= 0.0:
             continue
         peak, bw, vpu_peak = by_phase[rec.phase]

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -29,6 +29,7 @@ from .hwspec import FlowLevel, SystemSpec
 
 LEAK_SLOPE_PER_C = 0.005
 LEAK_REF_C = 65.0
+MAX_COUPLING_ROUNDS = 8
 
 Chip = tuple[int, int]
 
@@ -38,7 +39,8 @@ class SingularNetwork(Exception):
 
 
 class NonConvergence(Exception):
-    """The power/temperature fixed point failed to settle within max_iters."""
+    """A fixed point failed to settle: the power/temperature solve within
+    max_iters, or the serving/thermal coupling within MAX_COUPLING_ROUNDS."""
 
 
 @dataclass(frozen=True)
@@ -65,18 +67,14 @@ class ThermalResult:
         return {c: max(layers) for c, layers in self.dram_c.items()}
 
 
-def activity_power(spec: SystemSpec, activity: Iterable[serving.ActivityInterval],
+def activity_power(spec: SystemSpec, logic_j: Mapping[Chip, float],
+                   dram_j: Mapping[Chip, float],
                    window_s: float) -> dict[Chip, ChipPower]:
-    """Average dynamic power per chiplet over the window, DRAM heat spread
-    evenly across the stack's layers. Static and leakage terms are added
-    later, inside the fixed point, because they depend on temperature."""
+    """Average dynamic power per chiplet from its energy over the window, DRAM
+    heat spread evenly across the stack's layers. Static and leakage terms are
+    added later, inside the fixed point, because they depend on temperature."""
     if window_s < 0:
         raise ValueError("window_s must be >= 0")
-    logic_j: dict[Chip, float] = defaultdict(float)
-    dram_j: dict[Chip, float] = defaultdict(float)
-    for a in activity:
-        logic_j[a.pe.chip] += a.compute_energy_j
-        dram_j[a.pe.chip] += a.dram_energy_j
     out = {}
     for chip in spec.placement:
         n_layer = spec.chiplet_at(chip).dram.n_layer
@@ -257,19 +255,25 @@ def transient(spec: SystemSpec, dyn: Mapping[Chip, ChipPower], flow: FlowLevel,
 
 def coupled_serve(spec: SystemSpec, model, plan, trace,
                   cfg: serving.SimConfig = serving.SimConfig(), *,
-                  rounds: int = 2,
                   start_temp_c: float = 65.0) -> tuple[serving.ServingMetrics, ThermalResult]:
     """Alternate serving and thermal solves so memory timing sees the
-    temperatures its own traffic produces. Two rounds is enough in practice:
-    the derate steps only at 10 C bin edges."""
-    if rounds < 1:
-        raise ValueError("rounds must be >= 1")
+    temperatures its own traffic produces. Temperature reaches serving only
+    through each chiplet's refresh derate, so from round two on the loop stops
+    once every derate at the temperatures the last simulation used equals the
+    derate at the returned dram_hot_c: the metrics are then those of a
+    simulation at the returned temperatures. NonConvergence past
+    MAX_COUPLING_ROUNDS."""
     temps: float | dict[Chip, float] = start_temp_c
-    metrics = None
-    result = None
-    for _ in range(rounds):
+    for rnd in range(1, MAX_COUPLING_ROUNDS + 1):
         metrics = serving.simulate(spec, model, plan, trace, cfg, temps=temps)
-        dyn = activity_power(spec, metrics.activity, metrics.makespan_s)
+        dyn = activity_power(spec, metrics.chip_compute_j, metrics.chip_dram_j,
+                             metrics.makespan_s)
         result = equilibrium(spec, dyn)
-        temps = result.dram_hot_c
-    return metrics, result
+        used, temps = temps, result.dram_hot_c
+        if rnd >= 2 and all(
+                refresh_derate(spec.chiplet_at(c).dram, used[c])
+                == refresh_derate(spec.chiplet_at(c).dram, temps[c])
+                for c in spec.placement):
+            return metrics, result
+    raise NonConvergence(
+        f"serving/thermal coupling moved a refresh bin in round {MAX_COUPLING_ROUNDS}")

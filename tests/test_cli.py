@@ -122,7 +122,7 @@ def test_simulate_outputs_and_manifest(tmp_path):
     assert main(simulate_args(out, "--thermal")) == 0
     names = {p.name for p in out.iterdir()}
     assert names == {"manifest.json", "metrics.json", "requests.csv",
-                     "activity.csv", "thermal.csv", "trace.csv"}
+                     "thermal.csv", "trace.csv"}
     man = read_manifest(out)
     assert man["result_digest"] == recomputed_digest(out)
     assert set(man["outputs"]) == names - {"manifest.json"}
@@ -135,7 +135,7 @@ def test_simulate_rerun_byte_stable(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     assert main(simulate_args(a)) == 0
     assert main(simulate_args(b)) == 0
-    for name in ("metrics.json", "requests.csv", "activity.csv", "trace.csv"):
+    for name in ("metrics.json", "requests.csv", "trace.csv"):
         assert filecmp.cmp(a / name, b / name, shallow=False), name
     assert read_manifest(a)["result_digest"] == read_manifest(b)["result_digest"]
 

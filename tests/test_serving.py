@@ -9,13 +9,15 @@ so it checks the bookkeeping rather than the cost model.
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 
 import pytest
 
-from conftest import make_model, make_system
+from conftest import make_chiplet, make_dram, make_model, make_system
 from lamosim import dataflow, ops, serving
 from lamosim.compute import vpu_cycles
 from lamosim.comm import manhattan, link_delay
+from lamosim.hwspec import PowerConsts, Role
 from lamosim.mapping import build_pd_plan
 from lamosim.serving import (
     KvOverflow,
@@ -151,7 +153,7 @@ def test_output_len_one_never_decodes(tiny_model, system):
     m = simulate(system, tiny_model, plan, reqs, SimConfig(len_bucket=1))
     assert all(r.tbt_mean_s == 0.0 for r in m.requests)
     assert all(r.e2e_s == r.ttft_s for r in m.requests)
-    assert not any(rec.phase is ops.Phase.DECODE for rec in m.op_log)
+    assert not any(rec.phase is ops.Phase.DECODE for rec in m.op_records)
 
 
 # --- batching modes ---------------------------------------------------------------
@@ -235,37 +237,88 @@ def test_roofline_holds_on_mixed_trace(tiny_model, system):
     plan = _plan(system, tiny_model, tp_prefill=2, tp_decode=2, pp_decode=2)
     tr = synth_trace("custom", 20, 100.0, seed=9, mean_input=64, mean_output=8)
     m = simulate(system, tiny_model, plan, tr, SimConfig(len_bucket=16))
-    assert m.op_log
+    assert m.op_records
     assert roofline_check(m, system, plan) == []
 
 
-def test_activity_intervals_well_formed(tiny_model, system):
-    plan = _plan(system, tiny_model, tp_prefill=2, tp_decode=2)
-    tr = synth_trace("custom", 6, 100.0, seed=4, mean_input=16, mean_output=4)
-    m = simulate(system, tiny_model, plan, tr, SimConfig(len_bucket=4))
-    member_pes = {p for s in plan.prefill.stage_members for p in s}
-    member_pes |= {p for s in plan.decode.stage_members for p in s}
-    assert m.activity
-    for a in m.activity:
-        assert 0.0 <= a.start_s < a.end_s <= m.makespan_s + 1e-12
-        assert a.pe in member_pes
-        assert a.kind in ("gemm", "mem")
-        assert a.compute_energy_j >= 0 and a.dram_energy_j >= 0
-    dyn = sum(a.compute_energy_j + a.dram_energy_j for a in m.activity)
-    assert m.energy_j > dyn  # static floor and comm on top
+def test_roofline_flags_every_timed_record_under_tiny_slack(tiny_model, system):
+    plan = _plan(system, tiny_model, tp_prefill=2, tp_decode=2, pp_decode=2)
+    tr = synth_trace("custom", 8, 100.0, seed=9, mean_input=32, mean_output=6)
+    m = simulate(system, tiny_model, plan, tr, SimConfig(len_bucket=16))
+    timed = [rec for rec in m.op_records if rec.latency_s > 0.0]
+    assert timed
+    assert len(roofline_check(m, system, plan, slack=1e-6)) == len(timed)
 
 
-def test_energy_includes_static_floor(tiny_model, system):
-    plan = _plan(system, tiny_model)
-    m = simulate(system, tiny_model, plan, (Request(0, 0.0, 8, 2),),
-                 SimConfig(len_bucket=1))
+def test_op_records_do_not_grow_with_trace_length(tiny_model, system):
+    # One bucket holds every context, so each decode beat reuses one stage cost.
+    plan = _plan(system, tiny_model, tp_decode=2, pp_decode=2)
+    counts = [
+        len(simulate(system, tiny_model, plan, (Request(0, 0.0, 8, out),),
+                     SimConfig(len_bucket=128)).op_records)
+        for out in (4, 64)
+    ]
+    assert counts[0] == counts[1] > 0
+
+
+def _static_w(system) -> float:
     static_w = 0.0
     for coord in system.placement:
         c = system.chiplet_at(coord)
         static_w += c.n_pe * c.power.leak_base_w_per_pe
         static_w += c.dram.n_layer * (c.power.dram_static_w_per_layer
                                       + c.power.refresh_w_per_layer)
-    assert m.energy_j >= static_w * m.makespan_s
+    return static_w
+
+
+def test_energy_totals_equal_per_pe_execution_log(tiny_model, monkeypatch):
+    """Rebuild the per-PE log of every stage execution and sum it in
+    execution order: the run's energy and every chiplet total match exactly.
+    Without static power the run's energy is small enough to show a change
+    in the summation order."""
+    zero = PowerConsts(leak_base_w_per_pe=0.0, dram_static_w_per_layer=0.0,
+                       refresh_w_per_layer=0.0)
+    system = make_system(chiplet_types={
+        "pc": make_chiplet(Role.PREFILL, power=zero),
+        "dc": make_chiplet(Role.DECODE, power=zero, dram=make_dram(
+            n_layer=4, capacity_bytes=4 * 8 * (16 << 20)))})
+    runs = []
+    run_stage = serving._Sim._run_stage
+
+    def spy(self, ctx, s, cost):
+        runs.append((self, list(ctx.members[s]), cost))
+        run_stage(self, ctx, s, cost)
+
+    monkeypatch.setattr(serving._Sim, "_run_stage", spy)
+    plan = _plan(system, tiny_model, tp_prefill=2, tp_decode=2, pp_decode=2)
+    tr = synth_trace("custom", 6, 100.0, seed=4, mean_input=16, mean_output=4)
+    m = simulate(system, tiny_model, plan, tr, SimConfig(len_bucket=4))
+
+    log = [(pe, cost.shard_compute_j, cost.shard_dram_j)
+           for _, members, cost in runs for pe in members]
+    assert log
+    compute_j: dict = defaultdict(float)
+    dram_j: dict = defaultdict(float)
+    for pe, c, d in log:
+        compute_j[pe.chip] += c
+        dram_j[pe.chip] += d
+    assert m.chip_compute_j == compute_j
+    assert m.chip_dram_j == dram_j
+    dyn = sum(c + d for _, c, d in log)
+    sim = runs[0][0]
+    assert m.energy_j == dyn + sim.comm_energy + _static_w(system) * m.makespan_s
+
+    member_chips = {p.chip for ph in (plan.prefill, plan.decode)
+                    for stage in ph.stage_members for p in stage}
+    assert set(m.chip_compute_j) | set(m.chip_dram_j) <= member_chips
+    assert all(v >= 0 for v in (*m.chip_compute_j.values(), *m.chip_dram_j.values()))
+
+
+def test_energy_includes_static_floor(tiny_model, system):
+    plan = _plan(system, tiny_model)
+    m = simulate(system, tiny_model, plan, (Request(0, 0.0, 8, 2),),
+                 SimConfig(len_bucket=1))
+    assert m.energy_j >= _static_w(system) * m.makespan_s
     assert m.tokens_per_joule == pytest.approx(m.total_tokens / m.energy_j)
 
 

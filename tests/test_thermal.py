@@ -5,6 +5,7 @@ flow-level escalation ladder."""
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -188,20 +189,17 @@ def test_transient_approaches_steady_state():
 
 
 def test_activity_power_aggregates_per_chip(system):
-    acts = [
-        serving.ActivityInterval(
-            pe=type("M", (), {"chip": (0, 0)})(), start_s=0.0, end_s=1.0,
-            kind="gemm", compute_energy_j=6.0, dram_energy_j=4.0),
-        serving.ActivityInterval(
-            pe=type("M", (), {"chip": (0, 0)})(), start_s=1.0, end_s=2.0,
-            kind="mem", compute_energy_j=2.0, dram_energy_j=0.0),
-    ]
-    p = activity_power(system, acts, window_s=2.0)
-    assert p[(0, 0)].logic_w == pytest.approx(4.0)
-    assert sum(p[(0, 0)].dram_w) == pytest.approx(2.0)
-    assert p[(1, 0)].logic_w == 0.0
-    zero = activity_power(system, [], 0.0)
-    assert all(v.logic_w == 0.0 for v in zero.values())
+    p = activity_power(system, {(0, 0): 8.0}, {(0, 0): 4.0, (2, 0): 8.0},
+                       window_s=2.0)
+    assert p[(0, 0)].logic_w == 4.0
+    assert p[(0, 0)].dram_w == (1.0, 1.0)  # spread over the 2-layer stack
+    assert p[(2, 0)].logic_w == 0.0
+    assert p[(2, 0)].dram_w == (1.0,) * 4
+    assert p[(1, 0)] == ChipPower(0.0, (0.0, 0.0))
+    zero = activity_power(system, {(0, 0): 8.0}, {}, 0.0)
+    assert all(v.logic_w == 0.0 and not any(v.dram_w) for v in zero.values())
+    with pytest.raises(ValueError):
+        activity_power(system, {}, {}, -1.0)
 
 
 def test_decode_stack_hotter_than_prefill(tiny_model, system):
@@ -215,16 +213,49 @@ def test_decode_stack_hotter_than_prefill(tiny_model, system):
     assert dc_t > pc_t
 
 
-def test_coupled_serve_smoke(tiny_model, system):
-    plan = build_pd_plan(system, tiny_model, tp_prefill=2, pp_prefill=1,
+def _coupling_case(system, model):
+    plan = build_pd_plan(system, model, tp_prefill=2, pp_prefill=1,
                          tp_decode=2, pp_decode=1,
                          kv_budget_decode_bytes=1 << 20, ref_tokens=8)
     trace = serving.synth_trace("custom", 6, 100.0, seed=1,
                                 mean_input=16, mean_output=4)
-    m, th = thermal.coupled_serve(system, tiny_model, plan, trace,
-                                  serving.SimConfig(len_bucket=4))
+    return plan, trace, serving.SimConfig(len_bucket=4)
+
+
+def test_coupled_serve_smoke(tiny_model, system):
+    plan, trace, cfg = _coupling_case(system, tiny_model)
+    m, th = thermal.coupled_serve(system, tiny_model, plan, trace, cfg)
     assert m.total_tokens == sum(r.output_len for r in trace)
     assert th.t_max_c > system.cooling.ambient_c
-    m2, th2 = thermal.coupled_serve(system, tiny_model, plan, trace,
-                                    serving.SimConfig(len_bucket=4))
+    m2, th2 = thermal.coupled_serve(system, tiny_model, plan, trace, cfg)
     assert m2 == m and th2 == th
+
+
+def test_coupled_serve_metrics_simulated_at_returned_temperatures(tiny_model):
+    # A 90 C coolant puts every stack one refresh bin above the 65 C start.
+    system = make_system(cooling=make_cooling(ambient_c=90.0))
+    plan, trace, cfg = _coupling_case(system, tiny_model)
+    m, th = thermal.coupled_serve(system, tiny_model, plan, trace, cfg)
+    assert min(th.dram_hot_c.values()) > 85.0
+    assert m == serving.simulate(system, tiny_model, plan, trace, cfg,
+                                 temps=th.dram_hot_c)
+    assert m != serving.simulate(system, tiny_model, plan, trace, cfg, temps=65.0)
+
+
+def test_coupled_serve_raises_when_refresh_bins_keep_moving(tiny_model, system,
+                                                            monkeypatch):
+    plan, trace, cfg = _coupling_case(system, tiny_model)
+    solve = thermal.equilibrium
+    rounds = []
+
+    def flipping(spec, dyn):
+        # every round lands two refresh bins away from the previous one
+        hot = 100.0 if len(rounds) % 2 else 60.0
+        rounds.append(hot)
+        res = solve(spec, dyn)
+        return replace(res, dram_c={c: (hot,) * len(v) for c, v in res.dram_c.items()})
+
+    monkeypatch.setattr(thermal, "equilibrium", flipping)
+    with pytest.raises(NonConvergence):
+        thermal.coupled_serve(system, tiny_model, plan, trace, cfg)
+    assert len(rounds) == thermal.MAX_COUPLING_ROUNDS
