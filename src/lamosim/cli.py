@@ -38,7 +38,6 @@ from .dse import (
     chiplet_dse,
     search_plan,
     system_dse,
-    _kv_headroom,
 )
 from .hwspec import (
     ConfigError,
@@ -51,7 +50,7 @@ from .hwspec import (
     parse_system,
     validate_system,
 )
-from .mapping import CapacityExceeded, TooManyStages, build_pd_plan
+from .mapping import CapacityExceeded, TooManyStages, build_pd_plan, kv_headroom
 from .serving import (
     SimConfig,
     TRACE_MEANS,
@@ -326,8 +325,7 @@ def _build_plan(spec, model, args, configs):
         tp_decode=shapes["decode"][0], pp_decode=shapes["decode"][1],
         kv_budget_decode_bytes=kv_arg or 0,
         temp_c=args.temp_c, seed=sub_seed(args.seed, "plan"))
-    budget = kv_arg if kv_arg is not None else _kv_headroom(
-        plan.decode.layer_bounds, plan.decode.stage_members, spec, model)
+    budget = kv_arg if kv_arg is not None else kv_headroom(plan.decode, spec, model)
     return plan, budget
 
 

@@ -82,17 +82,22 @@ def link_delay(msg_bytes: int, noc_hops: int, nop_hops: int, spec: SystemSpec) -
     )
 
 
+def link_energy(msg_bytes: int, noc_hops: int, nop_hops: int, spec: SystemSpec) -> float:
+    """Point-to-point transfer energy: bytes times the per-hop energy of
+    every link crossed."""
+    return msg_bytes * (
+        noc_hops * spec.comm_energy_noc_pj_per_byte_hop
+        + nop_hops * spec.comm_energy_nop_pj_per_byte_hop
+    ) * 1e-12
+
+
 def _path_cost(member: MeshCoord, center: MeshCoord, msg_bytes: int,
                spec: SystemSpec) -> tuple[float, float, float, int, int]:
     """(alpha_term, beta_term, energy, noc, nop) for one member<->center stream."""
     noc, nop = manhattan(member, center, spec)
     alpha = spec.alpha_nop_s_per_byte if nop > 0 else spec.alpha_noc_s_per_byte
     beta = spec.beta_noc_s_per_hop * noc + spec.beta_nop_s_per_hop * nop
-    energy = msg_bytes * (
-        noc * spec.comm_energy_noc_pj_per_byte_hop
-        + nop * spec.comm_energy_nop_pj_per_byte_hop
-    ) * 1e-12
-    return alpha * msg_bytes, beta, energy, noc, nop
+    return alpha * msg_bytes, beta, link_energy(msg_bytes, noc, nop, spec), noc, nop
 
 
 def _bounding_box(group: list[MeshCoord]) -> tuple[tuple[int, int], tuple[int, int],

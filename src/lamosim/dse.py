@@ -8,7 +8,9 @@ Three layers, each usable on its own:
   * search_plan: pick (tp, pp) per phase for a fixed system. Prefill is
     ranked by the traversal latency of one request through the pipeline,
     decode by the steady-state beat time of the slowest stage, so the two
-    phases generally land on different shapes.
+    phases generally land on different shapes. Each shape is ranked on
+    `mapping.cached_tp_group`, the grouping the winning plan is built on,
+    so every (pool, tp) is grouped once per process.
   * system_dse: budgeted search over (prefill chiplet, decode chiplet,
     pool counts). Exhaustive when the space fits the simulation budget,
     otherwise a stratified seed wave plus simulated-annealing waves of a
@@ -43,13 +45,13 @@ from .mapping import (
     CapacityExceeded,
     PdPlan,
     TooManyStages,
-    _group_capacity_bytes,
     build_pd_plan,
+    cached_tp_group,
     estimate_layer_costs,
-    flat_xy,
     group_center_coord,
+    kv_headroom,
+    pool_chiplet,
     pool_pe_coords,
-    tp_group,
 )
 from .serving import KvOverflow, SimConfig
 from .thermal import coupled_serve
@@ -295,7 +297,7 @@ def _phase_score(spec: SystemSpec, model: ModelSpec, role: Role,
     overlap the next beat so they do not enter the period.
     """
     pool = pool_pe_coords(spec, role)
-    chiplet = spec.chiplet_at(pool[0].chip)
+    chiplet = pool_chiplet(spec, role)
     k = len(pool) // tp
     if k < pp or tp > len(pool):
         return None
@@ -310,33 +312,18 @@ def _phase_score(spec: SystemSpec, model: ModelSpec, role: Role,
     handoff = 0.0
     msg = m_tokens * model.d_model * model.dtype_bytes
     if tp > 1 or pp > 1:
-        flats = [flat_xy(mc, spec) for mc in pool]
-        grouping = tp_group(flats, tp, exact_limit=0)  # greedy is enough to rank
+        groups = cached_tp_group(pool, tp, spec).groups
+        first = [pool[i] for i in groups[0]]
+        c0 = group_center_coord(first, spec)
         if tp > 1:
-            members = [pool[i] for i in grouping.groups[0]]
-            center = group_center_coord(members, spec)
             ar_s = collective_cost(
-                CollectiveKind.ALLREDUCE, members, center, msg, spec).latency_s
+                CollectiveKind.ALLREDUCE, first, c0, msg, spec).latency_s
         if pp > 1:
-            c0 = group_center_coord([pool[i] for i in grouping.groups[0]], spec)
-            c1 = group_center_coord([pool[i] for i in grouping.groups[1]], spec)
+            c1 = group_center_coord([pool[i] for i in groups[1]], spec)
             handoff = link_delay(msg, *manhattan(c0, c1, spec), spec)
     if phase is ops.Phase.PREFILL:
         return model.n_layers * (layer_s + 2.0 * ar_s) + (pp - 1) * handoff
     return worst_layers * (layer_s + 2.0 * ar_s)
-
-
-def _kv_headroom(plan_stage_bounds, plan_stage_members, spec: SystemSpec,
-                 model: ModelSpec) -> int:
-    """Largest KV budget every decode stage can hold beside its weights."""
-    per_layer_w = model.weights_per_layer() * model.dtype_bytes
-    budget = None
-    for (lo, hi), members in zip(plan_stage_bounds, plan_stage_members):
-        cap = _group_capacity_bytes(members, spec)
-        free = cap - (hi - lo) * per_layer_w
-        b = free * model.n_layers // (hi - lo)
-        budget = b if budget is None else min(budget, b)
-    return max(0, budget or 0)
 
 
 def search_plan(spec: SystemSpec, model: ModelSpec, *,
@@ -377,8 +364,7 @@ def search_plan(spec: SystemSpec, model: ModelSpec, *,
         temp_c=temp_c, seed=seed, ref_tokens=ref_prefill_tokens)
     budget = kv_budget_decode_bytes
     if budget is None:
-        budget = _kv_headroom(plan.decode.layer_bounds,
-                              plan.decode.stage_members, spec, model)
+        budget = kv_headroom(plan.decode, spec, model)
     return PlanChoice(
         plan=plan,
         prefill_tp=-ptp, prefill_pp=ppp,

@@ -301,7 +301,8 @@ class CoolingSpec:
 class SystemSpec:
     """Chiplets placed on a 2D package mesh plus interconnect constants.
 
-    `placement` maps mesh coordinates to names in `chiplet_types`. Interconnect
+    `placement` maps mesh coordinates to names in `chiplet_types`; every placed
+    chiplet of one role has the same type, so each pool is uniform. Interconnect
     cost model: t = alpha * bytes + beta * hops at each level; crossing a
     chiplet boundary costs `edge_hops` extra on-chip hops per crossing.
     """
@@ -322,6 +323,9 @@ class SystemSpec:
         _require(len(self.placement) >= 1, "system placement must not be empty")
         for coord, name in self.placement.items():
             _require(name in self.chiplet_types, f"placement at {coord} references unknown chiplet type {name!r}")
+        for role in Role:
+            names = {n for n in self.placement.values() if self.chiplet_types[n].role is role}
+            _require(len(names) <= 1, f"{role.value} pool mixes chiplet types {sorted(names)}")
         for a in ("alpha_noc_s_per_byte", "alpha_nop_s_per_byte",
                   "beta_noc_s_per_hop", "beta_nop_s_per_hop"):
             _require(getattr(self, a) >= 0.0, f"system.{a} must be >= 0")
@@ -392,10 +396,6 @@ class ValidatedSystem:
     prefill_coords: tuple[tuple[int, int], ...]
     decode_coords: tuple[tuple[int, int], ...]
     total_peak_power_w: float
-
-    def pool_capacity_bytes(self, role: Role) -> int:
-        coords = self.prefill_coords if role is Role.PREFILL else self.decode_coords
-        return sum(self.spec.chiplet_at(c).dram.capacity_bytes for c in coords)
 
 
 def chiplet_violations(name: str, c: ChipletSpec) -> list[Violation]:

@@ -11,12 +11,16 @@ to `exact_limit` PEs (greedy box-tiling incumbent, per-group span lower
 bounds, reversal symmetry break; with w_inter == 0 full label symmetry is
 broken instead by pinning the lowest PE into the first group). Larger pools
 fall back to the greedy tiler plus pairwise-swap refinement and report
-proven_optimal=False.
+proven_optimal=False. `cached_tp_group` memoizes the default-weight grouping
+process-wide per (pool coordinates in order, tp): `dse` ranks each (tp, pp)
+shape on the same grouping that `build_pd_plan` then places stages on, so a
+plan search groups each (pool, tp) once.
 
 Stage placement assigns pipeline stages to groups by simulated annealing over
 swap/move neighborhoods (geometric cooling, never worse than its greedy
 start). Plan assembly pairs prefill groups with decode KV owners and checks
-every stage's weight shard plus KV budget against the group's DRAM slice.
+every stage's weight shard plus KV budget against the group's DRAM slice;
+`kv_headroom` is the largest decode KV budget that check admits.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from . import comm, dataflow, ops
+from . import dataflow, ops
 from .compute import vpu_cycles
 from .comm import CollectiveKind, EmptyGroup, MeshCoord, collective_cost, link_delay, manhattan
 from .hwspec import ChipletSpec, ModelSpec, Role, SystemSpec
@@ -51,9 +55,6 @@ class TpGrouping:
     spares: tuple[int, ...]
     objective: float
     proven_optimal: bool
-
-    def member_coords(self, k: int) -> tuple[Coord, ...]:
-        return tuple(self.coords[i] for i in self.groups[k])
 
 
 def _span(coords: list[Coord]) -> int:
@@ -276,6 +277,19 @@ def pool_pe_coords(spec: SystemSpec, role: Role) -> list[MeshCoord]:
     return out
 
 
+_groupings: dict[tuple[tuple[Coord, ...], int], TpGrouping] = {}
+
+
+def cached_tp_group(pool: list[MeshCoord], tp: int, spec: SystemSpec) -> TpGrouping:
+    """`tp_group` of the pool's flattened coordinates at its defaults, memoized
+    process-wide. The key keeps the pool's order, since groups index into it."""
+    key = (tuple(flat_xy(m, spec) for m in pool), tp)
+    got = _groupings.get(key)
+    if got is None:
+        got = _groupings[key] = tp_group(list(key[0]), tp)
+    return got
+
+
 def place_stages(grouping: TpGrouping, pool: list[MeshCoord], n_stages: int,
                  layer_costs: list[float], tp: int, act_bytes: int,
                  kv_bytes_per_stage: int, spec: SystemSpec, seed: int, *,
@@ -431,23 +445,20 @@ def estimate_layer_costs(model: ModelSpec, chiplet: ChipletSpec, phase: ops.Phas
     return [total] * model.n_layers
 
 
-def _uniform_pool_chiplet(spec: SystemSpec, role: Role) -> ChipletSpec:
-    names = {spec.placement[c] for c in spec.coords_for_role(role)}
-    if not names:
+def pool_chiplet(spec: SystemSpec, role: Role) -> ChipletSpec:
+    """The one chiplet type of a role's pool (SystemSpec keeps pools uniform)."""
+    coords = spec.coords_for_role(role)
+    if not coords:
         raise EmptyGroup(f"no {role.value} chiplets in system")
-    if len(names) > 1:
-        raise ValueError(f"{role.value} pool mixes chiplet types {sorted(names)}")
-    return spec.chiplet_types[next(iter(names))]
+    return spec.chiplet_at(coords[0])
 
 
 def _phase_plan(spec: SystemSpec, model: ModelSpec, role: Role, phase: ops.Phase,
                 tp: int, pp: int, temp_c: float, seed: int, *,
-                ref_tokens: int, ref_ctx: int, w_inter: float,
-                exact_limit: int) -> tuple[PhasePlan, TpGrouping, list[MeshCoord]]:
+                ref_tokens: int, ref_ctx: int) -> PhasePlan:
     pool = pool_pe_coords(spec, role)
-    chiplet = _uniform_pool_chiplet(spec, role)
-    flats = [flat_xy(m, spec) for m in pool]
-    grouping = tp_group(flats, tp, w_inter, exact_limit=exact_limit)
+    chiplet = pool_chiplet(spec, role)
+    grouping = cached_tp_group(pool, tp, spec)
     layer_costs = estimate_layer_costs(model, chiplet, phase, ref_tokens, ref_ctx, temp_c)
     act_bytes = ref_tokens * model.d_model * model.dtype_bytes
     ar_bytes = act_bytes
@@ -458,16 +469,12 @@ def _phase_plan(spec: SystemSpec, model: ModelSpec, role: Role, phase: ops.Phase
         tuple(pool[i] for i in grouping.groups[g]) for g in placement.stage_groups
     )
     centers = tuple(group_center_coord(list(m), spec) for m in stage_members)
-    return (
-        PhasePlan(
-            phase=phase, tp=tp, pp=pp,
-            stage_members=stage_members,
-            stage_centers=centers,
-            layer_bounds=placement.layer_bounds,
-            objective=placement.objective,
-        ),
-        grouping,
-        pool,
+    return PhasePlan(
+        phase=phase, tp=tp, pp=pp,
+        stage_members=stage_members,
+        stage_centers=centers,
+        layer_bounds=placement.layer_bounds,
+        objective=placement.objective,
     )
 
 
@@ -480,28 +487,35 @@ def _group_capacity_bytes(members: tuple[MeshCoord, ...], spec: SystemSpec) -> i
     return total
 
 
+def kv_headroom(plan: PhasePlan, spec: SystemSpec, model: ModelSpec) -> int:
+    """Largest KV budget every stage of the plan can hold beside its weights:
+    the inverse of build_pd_plan's capacity check."""
+    per_layer_w = model.weights_per_layer() * model.dtype_bytes
+    return max(0, min(
+        (_group_capacity_bytes(members, spec) - (hi - lo) * per_layer_w)
+        * model.n_layers // (hi - lo)
+        for (lo, hi), members in zip(plan.layer_bounds, plan.stage_members)))
+
+
 def build_pd_plan(spec: SystemSpec, model: ModelSpec, *,
                   tp_prefill: int, pp_prefill: int, tp_decode: int, pp_decode: int,
-                  kv_budget_decode_bytes: int, kv_scratch_prefill_bytes: int = 0,
-                  temp_c: float = 65.0, seed: int = 0, ref_tokens: int = 512,
-                  w_inter: float = 0.5, exact_limit: int = 10) -> PdPlan:
+                  kv_budget_decode_bytes: int, temp_c: float = 65.0, seed: int = 0,
+                  ref_tokens: int = 512) -> PdPlan:
     """Build and validate a disaggregated prefill/decode mapping.
 
-    Every stage's weight shard plus its KV budget share must fit the group's
-    DRAM slice; violations raise CapacityExceeded naming the stage.
+    Every stage's weight shard plus its KV budget share (none for prefill)
+    must fit the group's DRAM slice; violations raise CapacityExceeded
+    naming the stage.
     """
-    prefill, _, _ = _phase_plan(
+    prefill = _phase_plan(
         spec, model, Role.PREFILL, ops.Phase.PREFILL, tp_prefill, pp_prefill,
-        temp_c, seed, ref_tokens=ref_tokens, ref_ctx=ref_tokens,
-        w_inter=w_inter, exact_limit=exact_limit)
-    decode, _, _ = _phase_plan(
+        temp_c, seed, ref_tokens=ref_tokens, ref_ctx=ref_tokens)
+    decode = _phase_plan(
         spec, model, Role.DECODE, ops.Phase.DECODE, tp_decode, pp_decode,
-        temp_c, seed + 1, ref_tokens=1, ref_ctx=max(1, ref_tokens),
-        w_inter=w_inter, exact_limit=exact_limit)
+        temp_c, seed + 1, ref_tokens=1, ref_ctx=max(1, ref_tokens))
     n_layers = model.n_layers
     per_layer_w = model.weights_per_layer() * model.dtype_bytes
-    for plan, kv_budget in ((prefill, kv_scratch_prefill_bytes),
-                            (decode, kv_budget_decode_bytes)):
+    for plan, kv_budget in ((prefill, 0), (decode, kv_budget_decode_bytes)):
         for s, (lo, hi) in enumerate(plan.layer_bounds):
             need = (hi - lo) * per_layer_w + kv_budget * (hi - lo) // n_layers
             cap = _group_capacity_bytes(plan.stage_members[s], spec)

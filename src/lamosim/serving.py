@@ -38,7 +38,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from . import dataflow, ops
-from .comm import CollectiveKind, MeshCoord, collective_cost, link_delay, manhattan
+from .comm import CollectiveKind, MeshCoord, collective_cost, link_delay, link_energy, manhattan
 from .compute import vpu_cycles
 from .dram import effective_bandwidth
 from .hwspec import ChipletSpec, ModelSpec, SystemSpec
@@ -427,9 +427,7 @@ class _Sim:
 
     def _handoff(self, ctx: _PhaseCtx, s: int, act_bytes: int) -> float:
         noc, nop = ctx.hop[s]
-        self.comm_energy += act_bytes * (
-            noc * self.spec.comm_energy_noc_pj_per_byte_hop
-            + nop * self.spec.comm_energy_nop_pj_per_byte_hop) * 1e-12
+        self.comm_energy += link_energy(act_bytes, noc, nop, self.spec)
         return link_delay(act_bytes, noc, nop, self.spec)
 
     # -- prefill --
@@ -529,9 +527,7 @@ class _Sim:
         key = (src.chip, dst.chip)
         noc, nop = manhattan(src, dst, self.spec)
         lat = link_delay(nbytes, noc, nop, self.spec)
-        self.comm_energy += nbytes * (
-            noc * self.spec.comm_energy_noc_pj_per_byte_hop
-            + nop * self.spec.comm_energy_nop_pj_per_byte_hop) * 1e-12
+        self.comm_energy += link_energy(nbytes, noc, nop, self.spec)
         start = max(self.now, self.bridge_free.get(key, 0.0))
         self.bridge_free[key] = start + lat
         self.at(start + lat, lambda: self._kv_arrived(st))

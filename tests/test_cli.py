@@ -8,6 +8,7 @@ import argparse
 import filecmp
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -56,8 +57,10 @@ def test_help_documents_every_flag(capsys):
 
 
 def test_version_runs_as_module():
+    # the child imports the lamosim under test, installed or not
+    env = {**os.environ, "PYTHONPATH": str(Path(lamosim.__file__).parents[1])}
     proc = subprocess.run([sys.executable, "-m", "lamosim", "--version"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert proc.stdout.strip()
 
@@ -176,6 +179,20 @@ def test_simulate_plan_wider_than_pool_exit3(tmp_path, capsys):
                  "--trace", TRACE, "--out", str(tmp_path / "x"), "--plan", str(plan)])
     assert code == 3
     assert "cannot form a group of 200" in capsys.readouterr().err
+
+
+def test_simulate_pool_mixing_chiplet_types_exit2(tmp_path, capsys):
+    d = json.loads((CONFIGS / "system_small.json").read_text())
+    pc2 = dict(d["chiplet_types"]["pc"])
+    pc2["clock_hz"] = pc2["clock_hz"] / 2
+    d["chiplet_types"]["pc2"] = pc2
+    next(p for p in d["placement"] if p["type"] == "pc")["type"] = "pc2"
+    f = tmp_path / "mixed.json"
+    f.write_text(json.dumps(d))
+    code = main(["simulate", "--system", str(f), "--model", "model_tiny.json",
+                 "--trace", TRACE, "--out", str(tmp_path / "x")])
+    assert code == 2
+    assert "mixes chiplet types" in capsys.readouterr().err
 
 
 # --- gen-trace --------------------------------------------------------------------

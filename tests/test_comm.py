@@ -13,6 +13,7 @@ from lamosim.comm import (
     MeshCoord,
     collective_cost,
     link_delay,
+    link_energy,
     manhattan,
 )
 from lamosim.hwspec import Role
@@ -70,6 +71,11 @@ def test_link_delay_linear():
     # NoP serialization rate applies as soon as the path crosses chiplets
     t2 = link_delay(1024, noc_hops=1, nop_hops=2, spec=s)
     assert t2 == pytest.approx(0.04e-9 * 1024 + 5e-9 + 2 * 20e-9)
+
+
+def test_link_energy_hand_value():
+    s = wide_system()
+    assert link_energy(1000, 3, 2, s) == 1000 * (3 * 0.1 + 2 * 0.5) * 1e-12
 
 
 def test_collective_2x2_hand_value():

@@ -9,7 +9,7 @@ from multiprocessing.pool import ThreadPool
 import pytest
 
 from conftest import make_chiplet, make_dram, make_model, make_system
-from lamosim import dse, ops
+from lamosim import dse, mapping, ops
 from lamosim.hwspec import ConfigError, Role, derive_chiplet_metrics
 from lamosim.mapping import CapacityExceeded
 from lamosim.serving import SimConfig, synth_trace
@@ -215,6 +215,28 @@ def test_search_plan_raises_when_nothing_fits(system):
                      d_model=4096, d_ffn=16384)
     with pytest.raises(CapacityExceeded):
         dse.search_plan(system, fat)
+
+
+def test_search_plan_groups_each_pool_and_width_once(system, tiny_model, monkeypatch):
+    """Ranking and plan building share one memoized grouping per (pool, tp):
+    every tp_group call is a distinct (pool, tp), and a repeated search makes
+    none."""
+    monkeypatch.setattr(mapping, "_groupings", {})
+    calls = []
+    fresh = mapping.tp_group
+
+    def counted(coords, tp, *args, **kwargs):
+        calls.append((tuple(coords), tp))
+        return fresh(coords, tp, *args, **kwargs)
+
+    monkeypatch.setattr(mapping, "tp_group", counted)
+    kw = dict(ref_prefill_tokens=8, ref_decode_ctx=8, ref_decode_batch=4)
+    first = dse.search_plan(system, tiny_model, **kw)
+    assert calls
+    assert len(calls) == len(set(calls))
+    n = len(calls)
+    assert dse.search_plan(system, tiny_model, **kw) == first
+    assert len(calls) == n
 
 
 def test_search_plan_deterministic(system, tiny_model):

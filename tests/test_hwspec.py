@@ -165,6 +165,13 @@ def test_schema_version_checked(system):
         parse_system(d)
 
 
+def test_pool_mixing_chiplet_types_rejected(system):
+    types = dict(system.chiplet_types, pc2=system.chiplet_types["pc"])
+    with pytest.raises(ConfigError, match="prefill pool mixes chiplet types"):
+        make_system(chiplet_types=types, placement={**system.placement, (1, 0): "pc2"})
+    make_system(chiplet_types=types)  # an unplaced type is legal: dse candidates
+
+
 def test_duplicate_placement_rejected(system):
     d = hwspec.system_to_dict(system)
     d["placement"].append(dict(d["placement"][0]))

@@ -13,8 +13,8 @@ import math
 
 import pytest
 
-from conftest import make_model, make_system
-from lamosim import ops
+from conftest import make_chiplet, make_model, make_system
+from lamosim import mapping, ops
 from lamosim.comm import CollectiveKind, collective_cost, link_delay, manhattan
 from lamosim.hwspec import Role
 from lamosim.mapping import (
@@ -22,7 +22,9 @@ from lamosim.mapping import (
     EmptyGroup,
     TooManyStages,
     build_pd_plan,
+    cached_tp_group,
     estimate_layer_costs,
+    flat_xy,
     group_center_coord,
     grouping_objective,
     place_stages,
@@ -121,6 +123,25 @@ def test_grouping_heuristic_prefers_compact_boxes():
     g = tp_group(mesh(4, 4), 4, 0.0, exact_limit=4)
     assert not g.proven_optimal
     assert g.objective == pytest.approx(4 * 2)
+
+
+@pytest.mark.parametrize("pe_side", [2, 4])  # 8-PE and 16-PE pools
+@pytest.mark.parametrize("tp", [1, 2, 3, 4])
+def test_cached_grouping_equals_fresh(pe_side, tp, monkeypatch):
+    """Both sides of the exact limit: the memo returns tp_group at its
+    defaults over the pool's flattened coordinates, in pool order."""
+    monkeypatch.setattr(mapping, "_groupings", {})
+    n_chips = 2 if pe_side == 2 else 1
+    spec = make_system(
+        chiplet_types={"pc": make_chiplet(Role.PREFILL, pe_rows=pe_side, pe_cols=pe_side),
+                       "dc": make_chiplet(Role.DECODE)},
+        placement={**{(x, 0): "pc" for x in range(n_chips)}, (n_chips, 0): "dc"})
+    pool = pool_pe_coords(spec, Role.PREFILL)
+    assert len(pool) == {2: 8, 4: 16}[pe_side]
+    got = cached_tp_group(pool, tp, spec)
+    assert got == tp_group([flat_xy(m, spec) for m in pool], tp)
+    assert got.proven_optimal is (len(pool) <= 10)
+    assert cached_tp_group(pool, tp, spec) is got
 
 
 # --- stage placement ----------------------------------------------------------
