@@ -323,8 +323,7 @@ def _build_plan(spec, model, args, configs):
         spec, model,
         tp_prefill=shapes["prefill"][0], pp_prefill=shapes["prefill"][1],
         tp_decode=shapes["decode"][0], pp_decode=shapes["decode"][1],
-        kv_budget_decode_bytes=kv_arg or 0,
-        temp_c=args.temp_c, seed=sub_seed(args.seed, "plan"))
+        kv_budget_decode_bytes=kv_arg or 0, seed=sub_seed(args.seed, "plan"))
     budget = kv_arg if kv_arg is not None else kv_headroom(plan.decode, spec, model)
     return plan, budget
 

@@ -306,8 +306,7 @@ def _phase_score(spec: SystemSpec, model: ModelSpec, role: Role,
     slice_b = chiplet.dram.capacity_bytes // chiplet.n_pe
     if worst_layers * per_layer_w > tp * slice_b:
         return None
-    layer_s = estimate_layer_costs(
-        model, chiplet, phase, m_tokens, ctx, temp_c, tp)[0]
+    layer_s = estimate_layer_costs(model, chiplet, phase, m_tokens, ctx, temp_c, tp)
     ar_s = 0.0
     handoff = 0.0
     msg = m_tokens * model.d_model * model.dtype_bytes
@@ -361,7 +360,7 @@ def search_plan(spec: SystemSpec, model: ModelSpec, *,
         spec, model,
         tp_prefill=-ptp, pp_prefill=ppp, tp_decode=-dtp, pp_decode=dpp,
         kv_budget_decode_bytes=kv_budget_decode_bytes or 0,
-        temp_c=temp_c, seed=seed, ref_tokens=ref_prefill_tokens)
+        seed=seed, ref_tokens=ref_prefill_tokens)
     budget = kv_budget_decode_bytes
     if budget is None:
         budget = kv_headroom(plan.decode, spec, model)

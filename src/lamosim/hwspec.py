@@ -393,8 +393,6 @@ class ValidatedSystem:
 
     spec: SystemSpec
     metrics: dict[str, ChipletMetrics]
-    prefill_coords: tuple[tuple[int, int], ...]
-    decode_coords: tuple[tuple[int, int], ...]
     total_peak_power_w: float
 
 
@@ -443,11 +441,10 @@ def validate_system(spec: SystemSpec, model: ModelSpec | None = None) -> Validat
             POWER_EXCEEDED, "rack",
             f"summed chiplet peak power {total_power:.0f} W exceeds rack limit "
             f"{spec.rack_power_limit_w:.0f} W"))
-    prefill = tuple(spec.coords_for_role(Role.PREFILL))
-    decode = tuple(spec.coords_for_role(Role.DECODE))
     if model is not None:
         wb = model.weight_bytes()
-        for role, coords in ((Role.PREFILL, prefill), (Role.DECODE, decode)):
+        for role in (Role.PREFILL, Role.DECODE):
+            coords = spec.coords_for_role(role)
             cap = sum(spec.chiplet_at(c).dram.capacity_bytes for c in coords)
             if coords and wb > cap:
                 violations.append(Violation(
@@ -458,8 +455,6 @@ def validate_system(spec: SystemSpec, model: ModelSpec | None = None) -> Validat
     return ValidatedSystem(
         spec=spec,
         metrics=metrics,
-        prefill_coords=prefill,
-        decode_coords=decode,
         total_peak_power_w=total_power,
     )
 

@@ -18,7 +18,11 @@ plan search groups each (pool, tp) once.
 
 Stage placement assigns pipeline stages to groups by simulated annealing over
 swap/move neighborhoods (geometric cooling, never worse than its greedy
-start). Plan assembly pairs prefill groups with decode KV owners and checks
+start). Its objective is the latency the assignment decides: two all-reduces
+per layer on each stage's group plus the activation handoffs between
+consecutive stages. Stage compute is the same on every group and so adds one
+constant to every assignment; placement leaves it out and runs no dataflow
+search. Plan assembly pairs prefill groups with decode KV owners and checks
 every stage's weight shard plus KV budget against the group's DRAM slice;
 `kv_headroom` is the largest decode KV budget that check admits.
 """
@@ -237,6 +241,9 @@ def tp_group(coords: list[Coord], tp: int, w_inter: float = 0.5, *,
 
 # --- pipeline stage placement -----------------------------------------------
 
+_ANNEAL_ITERS = 200  # trial moves per temperature
+_ANNEAL_COOLING = 0.95
+
 
 @dataclass(frozen=True)
 class StagePlacement:
@@ -291,23 +298,24 @@ def cached_tp_group(pool: list[MeshCoord], tp: int, spec: SystemSpec) -> TpGroup
 
 
 def place_stages(grouping: TpGrouping, pool: list[MeshCoord], n_stages: int,
-                 layer_costs: list[float], tp: int, act_bytes: int,
-                 kv_bytes_per_stage: int, spec: SystemSpec, seed: int, *,
-                 ar_bytes: int = 0, iters_per_temp: int = 200,
-                 cooling: float = 0.95) -> StagePlacement:
-    """Assign pipeline stages to TP groups, minimizing total stage latency
-    plus inter-stage transfer cost.
+                 n_layers: int, act_bytes: int, spec: SystemSpec,
+                 seed: int) -> StagePlacement:
+    """Assign pipeline stages to TP groups, minimizing the latency the
+    assignment decides: two all-reduces of act_bytes per layer on each
+    stage's group, plus the act_bytes handoff between consecutive stages.
 
-    layer_costs are full-layer latencies (divided by tp here); each layer adds
-    two all-reduces on its group. Annealing uses geometric cooling and never
-    returns worse than the greedy assignment it starts from.
+    Compute is left out: a stage's tp-sharded compute time is the same on
+    every group, and every stage is placed once, so it would add one constant
+    to every assignment. Annealing (_ANNEAL_ITERS trials per temperature,
+    geometric cooling by _ANNEAL_COOLING) never returns worse than the greedy
+    assignment it starts from; a single stage keeps its greedy group.
     """
     n_groups = len(grouping.groups)
     if n_stages < 1:
         raise ValueError("n_stages must be >= 1")
     if n_stages > n_groups:
         raise TooManyStages(f"{n_stages} stages but only {n_groups} groups")
-    if len(layer_costs) < n_stages:
+    if n_layers < n_stages:
         raise ValueError("need at least one layer per stage")
 
     members_by_group = [
@@ -315,19 +323,15 @@ def place_stages(grouping: TpGrouping, pool: list[MeshCoord], n_stages: int,
     ]
     centers = [group_center_coord(m, spec) for m in members_by_group]
     ar_cost = [
-        collective_cost(CollectiveKind.ALLREDUCE, members_by_group[g], centers[g],
-                        ar_bytes, spec).latency_s if tp > 1 else 0.0
-        for g in range(n_groups)
+        collective_cost(CollectiveKind.ALLREDUCE, members, center,
+                        act_bytes, spec).latency_s
+        for members, center in zip(members_by_group, centers)
     ]
-    bounds = _layer_partition(len(layer_costs), n_stages)
-    stage_compute = []
-    for lo, hi in bounds:
-        compute = sum(layer_costs[lo:hi]) / tp
-        stage_compute.append((compute, hi - lo))
-    # stage_cost[s][g]: latency of stage s when mapped onto group g
+    bounds = _layer_partition(n_layers, n_stages)
+    # stage_cost[s][g]: all-reduce latency of stage s when mapped onto group g
     stage_cost = [
-        [compute + layers * 2 * ar_cost[g] for g in range(n_groups)]
-        for compute, layers in stage_compute
+        [(hi - lo) * 2 * ar_cost[g] for g in range(n_groups)]
+        for lo, hi in bounds
     ]
     transfer = [[0.0] * n_groups for _ in range(n_groups)]
     for ga in range(n_groups):
@@ -335,7 +339,7 @@ def place_stages(grouping: TpGrouping, pool: list[MeshCoord], n_stages: int,
             if ga == gb:
                 continue
             noc, nop = manhattan(centers[ga], centers[gb], spec)
-            transfer[ga][gb] = link_delay(act_bytes + kv_bytes_per_stage, noc, nop, spec)
+            transfer[ga][gb] = link_delay(act_bytes, noc, nop, spec)
 
     def objective(assign: list[int]) -> float:
         total = sum(stage_cost[s][g] for s, g in enumerate(assign))
@@ -355,6 +359,8 @@ def place_stages(grouping: TpGrouping, pool: list[MeshCoord], n_stages: int,
         assign.append(best_g)
         used.add(best_g)
     greedy_obj = objective(assign)
+    if n_stages == 1:  # the greedy pick is already the argmin over groups
+        return StagePlacement(tuple(assign), tuple(bounds), greedy_obj, greedy_obj)
 
     rng = random.Random(seed)
     best = list(assign)
@@ -364,15 +370,13 @@ def place_stages(grouping: TpGrouping, pool: list[MeshCoord], n_stages: int,
     t0 = max(greedy_obj * 0.1, 1e-12)
     t = t0
     while t > t0 * 1e-3:
-        for _ in range(iters_per_temp):
+        for _ in range(_ANNEAL_ITERS):
             trial = list(cur)
-            if n_stages >= 2 and (n_groups == n_stages or rng.random() < 0.5):
+            if n_groups == n_stages or rng.random() < 0.5:
                 i, j = rng.sample(range(n_stages), 2)
                 trial[i], trial[j] = trial[j], trial[i]
             else:
                 unused = [g for g in range(n_groups) if g not in trial]
-                if not unused:
-                    continue
                 trial[rng.randrange(n_stages)] = unused[rng.randrange(len(unused))]
             trial_obj = objective(trial)
             delta = trial_obj - cur_obj
@@ -380,7 +384,7 @@ def place_stages(grouping: TpGrouping, pool: list[MeshCoord], n_stages: int,
                 cur, cur_obj = trial, trial_obj
                 if cur_obj < best_obj:
                     best, best_obj = list(cur), cur_obj
-        t *= cooling
+        t *= _ANNEAL_COOLING
     return StagePlacement(
         stage_groups=tuple(best),
         layer_bounds=tuple(bounds),
@@ -400,7 +404,6 @@ class PhasePlan:
     stage_members: tuple[tuple[MeshCoord, ...], ...]  # per stage, shard order
     stage_centers: tuple[MeshCoord, ...]
     layer_bounds: tuple[tuple[int, int], ...]
-    objective: float
 
     def stage_of_layer(self, layer: int) -> int:
         for s, (lo, hi) in enumerate(self.layer_bounds):
@@ -428,8 +431,8 @@ class PdPlan:
 
 def estimate_layer_costs(model: ModelSpec, chiplet: ChipletSpec, phase: ops.Phase,
                          m_tokens: int, ctx_len: int, temp_c: float,
-                         tp: int = 1) -> list[float]:
-    """Per-layer latency (compute + DRAM, no collectives) on one PE shard."""
+                         tp: int = 1) -> float:
+    """Latency of one layer's tp-shard (compute + DRAM, no collectives) on one PE."""
     batch = [(m_tokens, ctx_len)] if phase is ops.Phase.PREFILL else \
         [(1, ctx_len)] * m_tokens
     op_list = ops.layer_ops(model, tp, phase, batch)
@@ -442,7 +445,7 @@ def estimate_layer_costs(model: ModelSpec, chiplet: ChipletSpec, phase: ops.Phas
             total += res.cost.latency_s
         elif op.kind is ops.OpKind.VPU:
             total += vpu_cycles(op.elements, chiplet.pe) / chiplet.clock_hz
-    return [total] * model.n_layers
+    return total
 
 
 def pool_chiplet(spec: SystemSpec, role: Role) -> ChipletSpec:
@@ -454,17 +457,11 @@ def pool_chiplet(spec: SystemSpec, role: Role) -> ChipletSpec:
 
 
 def _phase_plan(spec: SystemSpec, model: ModelSpec, role: Role, phase: ops.Phase,
-                tp: int, pp: int, temp_c: float, seed: int, *,
-                ref_tokens: int, ref_ctx: int) -> PhasePlan:
+                tp: int, pp: int, seed: int, *, ref_tokens: int) -> PhasePlan:
     pool = pool_pe_coords(spec, role)
-    chiplet = pool_chiplet(spec, role)
     grouping = cached_tp_group(pool, tp, spec)
-    layer_costs = estimate_layer_costs(model, chiplet, phase, ref_tokens, ref_ctx, temp_c)
     act_bytes = ref_tokens * model.d_model * model.dtype_bytes
-    ar_bytes = act_bytes
-    placement = place_stages(
-        grouping, pool, pp, layer_costs, tp, act_bytes,
-        kv_bytes_per_stage=0, spec=spec, seed=seed, ar_bytes=ar_bytes)
+    placement = place_stages(grouping, pool, pp, model.n_layers, act_bytes, spec, seed)
     stage_members = tuple(
         tuple(pool[i] for i in grouping.groups[g]) for g in placement.stage_groups
     )
@@ -474,7 +471,6 @@ def _phase_plan(spec: SystemSpec, model: ModelSpec, role: Role, phase: ops.Phase
         stage_members=stage_members,
         stage_centers=centers,
         layer_bounds=placement.layer_bounds,
-        objective=placement.objective,
     )
 
 
@@ -499,7 +495,7 @@ def kv_headroom(plan: PhasePlan, spec: SystemSpec, model: ModelSpec) -> int:
 
 def build_pd_plan(spec: SystemSpec, model: ModelSpec, *,
                   tp_prefill: int, pp_prefill: int, tp_decode: int, pp_decode: int,
-                  kv_budget_decode_bytes: int, temp_c: float = 65.0, seed: int = 0,
+                  kv_budget_decode_bytes: int, seed: int = 0,
                   ref_tokens: int = 512) -> PdPlan:
     """Build and validate a disaggregated prefill/decode mapping.
 
@@ -509,10 +505,10 @@ def build_pd_plan(spec: SystemSpec, model: ModelSpec, *,
     """
     prefill = _phase_plan(
         spec, model, Role.PREFILL, ops.Phase.PREFILL, tp_prefill, pp_prefill,
-        temp_c, seed, ref_tokens=ref_tokens, ref_ctx=ref_tokens)
+        seed, ref_tokens=ref_tokens)
     decode = _phase_plan(
         spec, model, Role.DECODE, ops.Phase.DECODE, tp_decode, pp_decode,
-        temp_c, seed + 1, ref_tokens=1, ref_ctx=max(1, ref_tokens))
+        seed + 1, ref_tokens=1)
     n_layers = model.n_layers
     per_layer_w = model.weights_per_layer() * model.dtype_bytes
     for plan, kv_budget in ((prefill, 0), (decode, kv_budget_decode_bytes)):

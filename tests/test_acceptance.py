@@ -170,21 +170,19 @@ def test_stage_placement_within_one_percent_of_exhaustive():
     singles = tp_group(flats, 1, 0.5)   # 8 groups
     pairs = tp_group(flats, 2, 0.5)     # 4 groups
     cases = [
-        (singles, 1, 2, [3e-6, 1e-6, 4e-6, 1e-6, 5e-6, 2e-6], 4096),
-        (singles, 1, 3, [5e-6, 1e-6, 1e-6, 1e-6, 1e-6, 4e-6], 2048),
-        (singles, 1, 4, [1e-6, 2e-6, 3e-6, 4e-6, 5e-6, 6e-6, 7e-6, 8e-6], 1024),
-        (pairs, 2, 3, [3e-6, 1e-6, 4e-6, 1e-6, 5e-6, 2e-6], 4096),
+        (singles, 2, 6, 4096),
+        (singles, 3, 6, 2048),
+        (singles, 4, 8, 1024),
+        (pairs, 3, 6, 4096),
     ]
-    for grouping, tp, n_stages, layer_costs, act in cases:
+    for grouping, n_stages, n_layers, act in cases:
         best = min(
-            placement_objective(list(a), grouping, pool, layer_costs, tp, act,
-                                spec, act)
+            placement_objective(list(a), grouping, pool, n_layers, act, spec)
             for a in itertools.permutations(range(len(grouping.groups)), n_stages)
         )
         for seed in range(20):
-            placed = place_stages(grouping, pool, n_stages, layer_costs, tp=tp,
-                                  act_bytes=act, kv_bytes_per_stage=0,
-                                  spec=spec, seed=seed, ar_bytes=act)
+            placed = place_stages(grouping, pool, n_stages, n_layers, act_bytes=act,
+                                  spec=spec, seed=seed)
             assert placed.objective <= best * 1.01 + 1e-15
 
 

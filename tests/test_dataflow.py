@@ -239,6 +239,13 @@ def test_memo_searches_again_across_a_bin_boundary(search_calls):
     assert hot.cost.latency_s > cool.cost.latency_s
 
 
+def test_plan_building_makes_no_search(search_calls, tiny_model, system):
+    for tp, pp in ((1, 1), (2, 2)):
+        build_pd_plan(system, tiny_model, tp_prefill=tp, pp_prefill=pp, tp_decode=tp,
+                      pp_decode=pp, kv_budget_decode_bytes=1 << 20, ref_tokens=8)
+    assert search_calls == []
+
+
 def test_layer_estimates_and_serving_share_searches(search_calls, monkeypatch,
                                                    tiny_model, system):
     plan = build_pd_plan(system, tiny_model, tp_prefill=1, pp_prefill=1, tp_decode=1,

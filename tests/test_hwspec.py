@@ -95,7 +95,8 @@ def test_validate_collects_all_violations():
 def test_validate_ok_populates_metrics(system):
     v = validate_system(system)
     assert set(v.metrics) == {"pc", "dc"}
-    assert len(v.prefill_coords) == 2 and len(v.decode_coords) == 2
+    assert len(v.spec.coords_for_role(Role.PREFILL)) == 2
+    assert len(v.spec.coords_for_role(Role.DECODE)) == 2
     assert v.total_peak_power_w > 0
 
 

@@ -147,21 +147,19 @@ def test_cached_grouping_equals_fresh(pe_side, tp, monkeypatch):
 # --- stage placement ----------------------------------------------------------
 
 
-def placement_objective(assign, grouping, pool, layer_costs, tp, act_bytes,
-                        spec, ar_bytes):
+def placement_objective(assign, grouping, pool, n_layers, act_bytes, spec):
     """Independent recomputation of the stage-placement objective."""
     members = [[pool[i] for i in g] for g in grouping.groups]
     centers = [group_center_coord(m, spec) for m in members]
     n_stages = len(assign)
-    n_layers = len(layer_costs)
     bounds = [(round(s * n_layers / n_stages), round((s + 1) * n_layers / n_stages))
               for s in range(n_stages)]
     total = 0.0
     for s, g in enumerate(assign):
         lo, hi = bounds[s]
         ar = collective_cost(CollectiveKind.ALLREDUCE, members[g], centers[g],
-                             ar_bytes, spec).latency_s if tp > 1 else 0.0
-        total += sum(layer_costs[lo:hi]) / tp + (hi - lo) * 2 * ar
+                             act_bytes, spec).latency_s if len(members[g]) > 1 else 0.0
+        total += (hi - lo) * 2 * ar
     for s in range(n_stages - 1):
         noc, nop = manhattan(centers[assign[s]], centers[assign[s + 1]], spec)
         total += link_delay(act_bytes, noc, nop, spec)
@@ -173,18 +171,20 @@ def test_place_stages_matches_brute_force():
     pool = pool_pe_coords(spec, Role.PREFILL)
     assert len(pool) == 8
     flats = [(m.chip[0] * 2 + m.pe[0], m.chip[1] * 2 + m.pe[1]) for m in pool]
-    grouping = tp_group(flats, 2, 0.5)
-    layer_costs = [3e-6, 1e-6, 4e-6, 1e-6, 5e-6, 2e-6]
-    placed = place_stages(grouping, pool, 3, layer_costs, tp=2,
-                          act_bytes=4096, kv_bytes_per_stage=0,
-                          spec=spec, seed=7, ar_bytes=4096)
-    best = min(
-        placement_objective(list(a), grouping, pool, layer_costs, 2, 4096,
-                            spec, 4096)
-        for a in itertools.permutations(range(len(grouping.groups)), 3)
-    )
-    assert placed.objective == pytest.approx(best, rel=1e-12)
-    assert placed.objective <= placed.greedy_objective + 1e-18
+    # One stage skips annealing; at tp=3 the two groups' all-reduces differ.
+    for tp, n_stages in ((2, 1), (3, 1), (2, 3)):
+        grouping = tp_group(flats, tp, 0.5)
+        placed = place_stages(grouping, pool, n_stages, n_layers=6, act_bytes=4096,
+                              spec=spec, seed=7)
+        best = min(
+            placement_objective(list(a), grouping, pool, 6, 4096, spec)
+            for a in itertools.permutations(range(len(grouping.groups)), n_stages)
+        )
+        assert best > 0
+        assert placed.objective == pytest.approx(best, rel=1e-12)
+        assert placed.objective == pytest.approx(placement_objective(
+            list(placed.stage_groups), grouping, pool, 6, 4096, spec), rel=1e-12)
+        assert placed.objective <= placed.greedy_objective + 1e-18
 
 
 def test_place_stages_never_worse_than_greedy():
@@ -193,9 +193,8 @@ def test_place_stages_never_worse_than_greedy():
     flats = [(m.chip[0] * 2 + m.pe[0], m.chip[1] * 2 + m.pe[1]) for m in pool]
     grouping = tp_group(flats, 2, 0.5)
     for seed in range(5):
-        placed = place_stages(grouping, pool, 4, [1e-6] * 8, tp=2,
-                              act_bytes=1024, kv_bytes_per_stage=2048,
-                              spec=spec, seed=seed, ar_bytes=1024)
+        placed = place_stages(grouping, pool, 4, n_layers=8, act_bytes=1024,
+                              spec=spec, seed=seed)
         assert placed.objective <= placed.greedy_objective + 1e-18
 
 
@@ -204,8 +203,8 @@ def test_place_stages_layer_bounds():
     pool = pool_pe_coords(spec, Role.PREFILL)
     flats = [(m.chip[0] * 2 + m.pe[0], m.chip[1] * 2 + m.pe[1]) for m in pool]
     grouping = tp_group(flats, 2, 0.5)
-    placed = place_stages(grouping, pool, 3, [1e-6] * 7, tp=2, act_bytes=64,
-                          kv_bytes_per_stage=0, spec=spec, seed=0, ar_bytes=64)
+    placed = place_stages(grouping, pool, 3, n_layers=7, act_bytes=64,
+                          spec=spec, seed=0)
     assert placed.layer_bounds == ((0, 2), (2, 5), (5, 7))
     groups = placed.stage_groups
     assert len(set(groups)) == len(groups)
@@ -217,29 +216,25 @@ def test_place_stages_errors():
     flats = [(m.chip[0] * 2 + m.pe[0], m.chip[1] * 2 + m.pe[1]) for m in pool]
     grouping = tp_group(flats, 4, 0.5)  # 2 groups
     with pytest.raises(TooManyStages):
-        place_stages(grouping, pool, 3, [1e-6] * 4, tp=4, act_bytes=0,
-                     kv_bytes_per_stage=0, spec=spec, seed=0)
+        place_stages(grouping, pool, 3, n_layers=4, act_bytes=0, spec=spec, seed=0)
     with pytest.raises(ValueError):
-        place_stages(grouping, pool, 2, [1e-6], tp=4, act_bytes=0,
-                     kv_bytes_per_stage=0, spec=spec, seed=0)
+        place_stages(grouping, pool, 2, n_layers=1, act_bytes=0, spec=spec, seed=0)
 
 
 # --- plan assembly --------------------------------------------------------------
 
 
-def test_estimate_layer_costs_uniform_positive(tiny_model, system):
+def test_estimate_layer_costs_positive(tiny_model, system):
     chiplet = system.chiplet_types["pc"]
-    costs = estimate_layer_costs(tiny_model, chiplet, ops.Phase.PREFILL,
-                                 m_tokens=16, ctx_len=16, temp_c=65.0)
-    assert len(costs) == tiny_model.n_layers
-    assert len(set(costs)) == 1
-    assert costs[0] > 0
+    cost = estimate_layer_costs(tiny_model, chiplet, ops.Phase.PREFILL,
+                                m_tokens=16, ctx_len=16, temp_c=65.0)
+    assert cost > 0
 
 
 def test_decode_layer_cost_scales_with_batch(tiny_model, system):
     chiplet = system.chiplet_types["dc"]
-    one = estimate_layer_costs(tiny_model, chiplet, ops.Phase.DECODE, 1, 64, 65.0)[0]
-    four = estimate_layer_costs(tiny_model, chiplet, ops.Phase.DECODE, 4, 64, 65.0)[0]
+    one = estimate_layer_costs(tiny_model, chiplet, ops.Phase.DECODE, 1, 64, 65.0)
+    four = estimate_layer_costs(tiny_model, chiplet, ops.Phase.DECODE, 4, 64, 65.0)
     assert four > one
     assert four < 4 * one  # projections batch, only attention replicates
 
