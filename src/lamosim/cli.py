@@ -28,7 +28,7 @@ import traceback
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
-from . import __version__, dataflow, ops
+from . import __version__, dataflow
 from .compute import GemmShape
 from .comm import EmptyGroup
 from .dse import (
@@ -456,6 +456,12 @@ def cmd_dse_chiplet(args) -> int:
     if args.domain:
         obj, digest = _load_json(args.domain)
         configs["domain"] = digest
+        if not isinstance(obj, dict):
+            raise UsageError(f"{args.domain}: expected an object {{axis: [values]}}")
+        unknown = sorted(set(obj) - set(DEFAULT_CHIPLET_DOMAIN))
+        if unknown:
+            raise UsageError(f"{args.domain}: unknown domain axes {unknown} "
+                             f"(axes: {sorted(DEFAULT_CHIPLET_DOMAIN)})")
         bad = [k for k, v in obj.items() if not isinstance(v, list) or not v]
         if bad:
             raise UsageError(f"{args.domain}: axes must be non-empty lists: {bad}")

@@ -6,16 +6,15 @@ chiplets only the distance to the facing edge along the crossing axis counts
 (edge ports span the whole edge); each boundary crossing additionally costs
 `edge_hops` NoC hops to reach the die-to-die port.
 
-Collectives are stars around a center PE: every non-center member's stream is
-serialized through the center's port (alpha term per member, at the member's
-bottleneck level), and the slowest member sets the beta term. AllReduce is
-exactly Reduce followed by Multicast.
+The one collective is a star all-reduce around a center PE, run as a reduce
+into the center and a multicast back out. Each leg serializes every
+non-center member's stream through the center's port (alpha term per member,
+at the member's bottleneck level), and the slowest member sets the beta term.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 from .hwspec import SystemSpec
 
@@ -23,12 +22,6 @@ from .hwspec import SystemSpec
 class EmptyGroup(ValueError):
     """A group with no members: a collective over an empty member set, a pool
     too small for one group of the requested width, or a role with no chiplets."""
-
-
-class CollectiveKind(Enum):
-    REDUCE = "reduce"
-    MULTICAST = "multicast"
-    ALLREDUCE = "allreduce"
 
 
 @dataclass(frozen=True, order=True)
@@ -43,8 +36,6 @@ class MeshCoord:
 class CommCost:
     latency_s: float
     energy_j: float
-    noc_hops: int
-    nop_hops: int
 
 
 def manhattan(a: MeshCoord, b: MeshCoord, spec: SystemSpec) -> tuple[int, int]:
@@ -91,56 +82,32 @@ def link_energy(msg_bytes: int, noc_hops: int, nop_hops: int, spec: SystemSpec) 
     ) * 1e-12
 
 
-def _path_cost(member: MeshCoord, center: MeshCoord, msg_bytes: int,
-               spec: SystemSpec) -> tuple[float, float, float, int, int]:
-    """(alpha_term, beta_term, energy, noc, nop) for one member<->center stream."""
-    noc, nop = manhattan(member, center, spec)
-    alpha = spec.alpha_nop_s_per_byte if nop > 0 else spec.alpha_noc_s_per_byte
-    beta = spec.beta_noc_s_per_hop * noc + spec.beta_nop_s_per_hop * nop
-    return alpha * msg_bytes, beta, link_energy(msg_bytes, noc, nop, spec), noc, nop
+def allreduce_cost(group: list[MeshCoord], center: MeshCoord, msg_bytes: int,
+                   spec: SystemSpec) -> CommCost:
+    """Star all-reduce cost over the member set.
 
-
-def _bounding_box(group: list[MeshCoord]) -> tuple[tuple[int, int], tuple[int, int],
-                                                   tuple[int, int], tuple[int, int]]:
-    cx = [g.chip[0] for g in group]
-    cy = [g.chip[1] for g in group]
-    px = [g.pe[0] for g in group]
-    py = [g.pe[1] for g in group]
-    return (min(cx), max(cx)), (min(cy), max(cy)), (min(px), max(px)), (min(py), max(py))
-
-
-def collective_cost(kind: CollectiveKind, group: list[MeshCoord], center: MeshCoord,
-                    msg_bytes: int, spec: SystemSpec) -> CommCost:
-    """Star-collective cost over the member set.
-
-    Latency = sum of per-member serialized alpha terms + the largest member
-    beta term. Reduce and Multicast are symmetric under this model; AllReduce
-    composes both. A singleton group costs zero.
+    One leg's latency = sum of per-member serialized alpha terms + the largest
+    member beta term; the reduce and the multicast leg cost the same, so the
+    all-reduce costs two legs. A singleton group costs zero.
     """
     if not group:
         raise EmptyGroup("collective over an empty group")
     if msg_bytes < 0:
         raise ValueError("msg_bytes must be >= 0")
-    (cx0, cx1), (cy0, cy1), _, _ = _bounding_box(group)
-    if center in group:
-        pass  # members always qualify
-    elif not (cx0 <= center.chip[0] <= cx1 and cy0 <= center.chip[1] <= cy1):
-        raise ValueError("collective center must lie inside the group bounding box")
+    if center not in group:  # members always qualify
+        cx = [g.chip[0] for g in group]
+        cy = [g.chip[1] for g in group]
+        if not (min(cx) <= center.chip[0] <= max(cx) and min(cy) <= center.chip[1] <= max(cy)):
+            raise ValueError("collective center must lie inside the group bounding box")
     alpha_total = 0.0
     beta_max = 0.0
     energy = 0.0
-    max_noc = 0
-    max_nop = 0
     for member in group:
         if member == center:
             continue
-        a, b, e, noc, nop = _path_cost(member, center, msg_bytes, spec)
-        alpha_total += a
-        beta_max = max(beta_max, b)
-        energy += e
-        max_noc = max(max_noc, noc)
-        max_nop = max(max_nop, nop)
-    one_way = alpha_total + beta_max
-    if kind is CollectiveKind.ALLREDUCE:
-        return CommCost(2.0 * one_way, 2.0 * energy, max_noc, max_nop)
-    return CommCost(one_way, energy, max_noc, max_nop)
+        noc, nop = manhattan(member, center, spec)
+        alpha = spec.alpha_nop_s_per_byte if nop > 0 else spec.alpha_noc_s_per_byte
+        alpha_total += alpha * msg_bytes
+        beta_max = max(beta_max, spec.beta_noc_s_per_hop * noc + spec.beta_nop_s_per_hop * nop)
+        energy += link_energy(msg_bytes, noc, nop, spec)
+    return CommCost(2.0 * (alpha_total + beta_max), 2.0 * energy)

@@ -63,15 +63,6 @@ class ComputeCost:
     energy_j: float
 
 
-def sa_utilization(shape: GemmShape, pe: PeSpec, active_base_sas: int = 1) -> float:
-    """Array occupancy when `active_base_sas` base SAs each run an independent
-    row-block of `shape.m` rows. Measured over the full array."""
-    if not (1 <= active_base_sas <= pe.n_base_sa):
-        raise ValueError(f"active_base_sas must be in [1, {pe.n_base_sa}]")
-    rows = active_base_sas * min(shape.m, pe.base_sa_rows)
-    return min(1.0, rows / pe.sa_rows)
-
-
 def _pass_counts(shape: GemmShape, t: TileMapping, pe: PeSpec) -> tuple[int, int, int]:
     """(total passes, folds_m, folds_n) for the tiling; validates feasibility."""
     if t.t_m > shape.m or t.t_n > shape.n or t.t_k > shape.k:
@@ -133,9 +124,6 @@ class CostLut:
         self._table: dict[Hashable, object] = {}
         self.hits = 0
         self.misses = 0
-
-    def __len__(self) -> int:
-        return len(self._table)
 
     def get_or_compute(self, key: Hashable, fn: Callable[[], object]) -> object:
         if key in self._table:

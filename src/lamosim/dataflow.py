@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .compute import ComputeCost, CostLut, GemmShape, TileMapping, gemm_cycles
-from .dram import AccessKind, MemRequest, mem_access_time, refresh_derate
+from .dram import MemRequest, mem_access_time, refresh_derate
 from .hwspec import DramStackSpec, PeSpec
 
 
@@ -105,14 +105,6 @@ def staged_tile_bytes(policy: ReusePolicy, t: TileMapping, dtype_bytes: int) -> 
     return elems * dtype_bytes
 
 
-def feasible_policies(t: TileMapping, sram_bytes: int, dtype_bytes: int) -> list[ReusePolicy]:
-    """Policies whose staged footprint fits the SRAM, in declaration order."""
-    return [
-        p for p in ReusePolicy
-        if staged_tile_bytes(p, t, dtype_bytes) <= sram_bytes
-    ]
-
-
 def _traffic_elems(policy: ReusePolicy, shape: GemmShape, t: TileMapping) -> tuple[int, int]:
     """(staged_elems, streamed_elems) moved between DRAM and the PE."""
     nm = math.ceil(shape.m / t.t_m)
@@ -148,14 +140,12 @@ def evaluate_mapping(shape: GemmShape, policy: ReusePolicy, tiling: TileMapping,
     stream_s = 0.0
     energy = comp.energy_j
     if streamed_bits:
-        mc = mem_access_time(
-            MemRequest(streamed_bits, AccessKind.READ, pe.n_mc), dram, temp_c)
+        mc = mem_access_time(MemRequest(streamed_bits, pe.n_mc), dram, temp_c)
         stream_s = mc.latency_s
         energy += mc.energy_j
     staged_s = 0.0
     if staged_bits:
-        mc = mem_access_time(
-            MemRequest(staged_bits, AccessKind.READ, pe.n_mc), dram, temp_c)
+        mc = mem_access_time(MemRequest(staged_bits, pe.n_mc), dram, temp_c)
         staged_s = mc.latency_s
         energy += mc.energy_j
     latency = max(compute_s, stream_s) + staged_s
@@ -208,9 +198,8 @@ def search(shape: GemmShape, pe: PeSpec, dram: DramStackSpec, temp_c: float, *,
     staged_elems = {ReusePolicy.INPUT_REUSE: a_once, ReusePolicy.WEIGHT_REUSE: b_once,
                     ReusePolicy.OUTPUT_REUSE: c_once,
                     ReusePolicy.ALL_REUSE: a_once + b_once + c_once}
-    staged = [mem_access_time(MemRequest(staged_elems[p] * dtype_bytes * 8,
-                                         AccessKind.READ, pe.n_mc), dram, temp_c)
-              for p in policies]
+    staged = [mem_access_time(MemRequest(staged_elems[p] * dtype_bytes * 8, pe.n_mc),
+                              dram, temp_c) for p in policies]
     nm, nn, nk = ceil_div(shape.m, tm), ceil_div(shape.n, tn), ceil_div(shape.k, tk)
     a_stream = a_once * nn
     b_stream = b_once * nm

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 from .hwspec import DramStackSpec
 
@@ -29,15 +28,9 @@ class RefreshStall(Exception):
     """Refresh duty reached 100%: the stack serves no data at this temperature."""
 
 
-class AccessKind(Enum):
-    READ = "read"
-    WRITE = "write"
-
-
 @dataclass(frozen=True)
 class MemRequest:
     data_bits: int
-    kind: AccessKind
     target_banks: int
 
     def __post_init__(self) -> None:
@@ -102,8 +95,8 @@ def mem_access_time(req: MemRequest, d: DramStackSpec, temp_c: float) -> MemCost
     return MemCost(latency_s=latency_s, energy_j=energy_j, commands=n_cmd, effective_bw_bytes=bw)
 
 
-def effective_bandwidth(d: DramStackSpec, temp_c: float, target_banks: int | None = None) -> float:
-    """Sustained streaming bandwidth (bytes/s) over the targeted channels.
+def effective_bandwidth(d: DramStackSpec, temp_c: float) -> float:
+    """Sustained streaming bandwidth (bytes/s) over all of the stack's channels.
 
     Long-stream limit: command overhead amortized away, only burst beats and
     the refresh duty remain.
@@ -111,6 +104,5 @@ def effective_bandwidth(d: DramStackSpec, temp_c: float, target_banks: int | Non
     derate = refresh_derate(d, temp_c)
     if derate >= 1.0:
         raise RefreshStall(f"refresh duty {derate:.2f} >= 1 at {temp_c:.1f} C")
-    banks = d.channels if target_banks is None else target_banks
-    peak = banks * d.n_io_bits * d.io_clock_hz / 8.0
+    peak = d.channels * d.n_io_bits * d.io_clock_hz / 8.0
     return peak * (1.0 - derate)

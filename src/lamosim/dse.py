@@ -30,7 +30,7 @@ from functools import partial
 from typing import Callable, Iterable, Mapping, Sequence
 
 from . import ops
-from .comm import CollectiveKind, EmptyGroup, collective_cost, link_delay, manhattan
+from .comm import EmptyGroup, allreduce_cost, link_delay, manhattan
 from .hwspec import (
     ChipletSpec,
     ModelSpec,
@@ -109,9 +109,7 @@ def _chiplet_objectives(c: ChipletSpec) -> tuple[float, float, float]:
 
 # --- chiplet-level sweep ------------------------------------------------------
 
-# Value grids for the sampled dimensions. "nop_channels" is accepted in domain
-# files for completeness but is a package-level knob, not a chiplet one, so the
-# sampler ignores it.
+# Value grids for the sampled dimensions.
 DEFAULT_CHIPLET_DOMAIN: dict[str, tuple[int, ...]] = {
     "n_io_bits": (32, 64, 128, 256, 512),
     "capacity_gb": (1, 2, 4, 8, 16, 32),
@@ -128,8 +126,6 @@ DEFAULT_CHIPLET_DOMAIN: dict[str, tuple[int, ...]] = {
     "vector_regs": (16, 32, 64, 128),
     "noc_flit_bits": (128, 256, 512, 1024, 2048),
 }
-
-_CHIPLET_KEYS = tuple(DEFAULT_CHIPLET_DOMAIN)
 
 
 def _grid_dims(n_pe: int) -> tuple[int, int]:
@@ -203,11 +199,11 @@ def chiplet_dse(base: ChipletSpec, n_samples: int, seed: int,
                 eps: float = 0.05) -> ChipletDseResult:
     """Sample candidate chiplets and keep the per-capacity Pareto band over
     (peak FLOPS up, peak bandwidth up, peak power down)."""
-    dom = {k: v for k, v in (domain or DEFAULT_CHIPLET_DOMAIN).items()
-           if k in _CHIPLET_KEYS}
-    missing = [k for k in _CHIPLET_KEYS if k not in dom]
-    if missing:
-        raise ValueError(f"domain is missing axes: {missing}")
+    dom = domain or DEFAULT_CHIPLET_DOMAIN
+    missing = sorted(set(DEFAULT_CHIPLET_DOMAIN) - set(dom))
+    unknown = sorted(set(dom) - set(DEFAULT_CHIPLET_DOMAIN))
+    if missing or unknown:
+        raise ValueError(f"domain axes: missing {missing}, unknown {unknown}")
     rejects: Counter[str] = Counter()
     valid: list[ChipletSpec] = []
     for sample in stratified_samples(dom, n_samples, seed):
@@ -315,8 +311,7 @@ def _phase_score(spec: SystemSpec, model: ModelSpec, role: Role,
         first = [pool[i] for i in groups[0]]
         c0 = group_center_coord(first, spec)
         if tp > 1:
-            ar_s = collective_cost(
-                CollectiveKind.ALLREDUCE, first, c0, msg, spec).latency_s
+            ar_s = allreduce_cost(first, c0, msg, spec).latency_s
         if pp > 1:
             c1 = group_center_coord([pool[i] for i in groups[1]], spec)
             handoff = link_delay(msg, *manhattan(c0, c1, spec), spec)
@@ -457,7 +452,7 @@ def evaluate_design(point: DesignPoint, *, pc_candidates: Sequence[ChipletSpec],
     spec = build_system(template, pc_candidates[point.pc],
                         dc_candidates[point.dc], point.n_pc, point.n_dc)
     try:
-        validated = validate_system(spec, model)
+        peak_power_w = validate_system(spec, model)
     except SystemValidationError as e:
         return rejected(sorted({v.kind for v in e.violations}))
     try:
@@ -480,7 +475,7 @@ def evaluate_design(point: DesignPoint, *, pc_candidates: Sequence[ChipletSpec],
         violations.append("TbtSlo")
     if thermal.over_limit:
         violations.append("ThermalLimit")
-    power = validated.total_peak_power_w + thermal.pump_w
+    power = peak_power_w + thermal.pump_w
     if power > spec.rack_power_limit_w:
         violations.append("PowerExceeded")
     if metrics.kv_overflow:

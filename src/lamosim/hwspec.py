@@ -1,8 +1,8 @@
 """Hardware and model specifications.
 
 Frozen dataclasses describing DRAM stacks, processing elements, chiplets,
-systems, cooling, and transformer models, plus strict JSON (de)serialization
-and system-level validation. Every other module consumes these types; none of
+systems, cooling, and transformer models, plus strict JSON parsing and
+system-level validation. Every other module consumes these types; none of
 them mutates a spec after construction.
 
 JSON configs carry a `"schema": 1` field, use unit-suffixed field names
@@ -12,8 +12,7 @@ JSON configs carry a `"schema": 1` field, use unit-suffixed field names
 from __future__ import annotations
 
 import json
-import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from enum import Enum
 from typing import Any
 
@@ -101,10 +100,6 @@ class DramStackSpec:
         _require(self.io_clock_hz > 0.0, "dram.io_clock_hz must be > 0")
         _require(self.energy_per_bit_pj > 0.0, "dram.energy_per_bit_pj must be > 0")
         _require(self.refresh_energy_per_cmd_pj >= 0.0, "dram.refresh_energy_per_cmd_pj must be >= 0")
-
-    @property
-    def bank_capacity_bytes(self) -> int:
-        return self.capacity_bytes // (self.n_layer * self.n_bank)
 
     @property
     def channels(self) -> int:
@@ -215,7 +210,6 @@ class ChipletMetrics:
     peak_bw_bytes: float
     capacity_bytes: int
     peak_power_w: float
-    ai_knee: float  # FLOP/byte where compute and memory roofs meet
 
 
 def derive_chiplet_metrics(c: ChipletSpec) -> ChipletMetrics:
@@ -244,7 +238,6 @@ def derive_chiplet_metrics(c: ChipletSpec) -> ChipletMetrics:
         peak_bw_bytes=peak_bw,
         capacity_bytes=d.capacity_bytes,
         peak_power_w=peak_power,
-        ai_knee=peak_flops / peak_bw,
     )
 
 
@@ -262,7 +255,7 @@ class FlowLevel:
 
 @dataclass(frozen=True)
 class CoolingSpec:
-    """Liquid-cooling envelope: RC ladder constants and flow levels.
+    """Liquid-cooling envelope: thermal resistance ladder and flow levels.
 
     Heat path per chiplet column: logic die -> DRAM layers -> coldplate ->
     ambient. Resistances are K/W. Flow levels must come with strictly
@@ -276,7 +269,6 @@ class CoolingSpec:
     r_lateral: float
     flow_levels: tuple[FlowLevel, ...]
     t_limit_c: float = 105.0
-    heat_capacity_j_per_k: float = 50.0  # per block, transient mode only
 
     def __post_init__(self) -> None:
         _require(self.r_coldplate > 0.0, "cooling.r_coldplate must be > 0")
@@ -284,7 +276,6 @@ class CoolingSpec:
         _require(self.r_bond >= 0.0, "cooling.r_bond must be >= 0")
         _require(self.r_lateral > 0.0, "cooling.r_lateral must be > 0")
         _require(len(self.flow_levels) >= 1, "cooling needs at least one flow level")
-        _require(self.heat_capacity_j_per_k > 0.0, "cooling.heat_capacity_j_per_k must be > 0")
         scales = [f.r_scale for f in self.flow_levels]
         pumps = [f.pump_w for f in self.flow_levels]
         _require(
@@ -383,18 +374,6 @@ class ModelSpec:
     def kv_bytes_per_token(self) -> int:
         return 2 * self.n_layers * self.n_kv_heads * self.d_head * self.dtype_bytes
 
-    def param_count(self) -> int:
-        return self.n_layers * self.weights_per_layer()
-
-
-@dataclass(frozen=True)
-class ValidatedSystem:
-    """A SystemSpec together with per-chiplet derived metrics and pool totals."""
-
-    spec: SystemSpec
-    metrics: dict[str, ChipletMetrics]
-    total_peak_power_w: float
-
 
 def chiplet_violations(name: str, c: ChipletSpec) -> list[Violation]:
     """Budget checks for a single chiplet, independent of any system."""
@@ -421,21 +400,19 @@ def chiplet_violations(name: str, c: ChipletSpec) -> list[Violation]:
     return out
 
 
-def validate_system(spec: SystemSpec, model: ModelSpec | None = None) -> ValidatedSystem:
+def validate_system(spec: SystemSpec, model: ModelSpec | None = None) -> float:
     """Check area/power/capacity limits for every chiplet and the rack.
 
     Raises SystemValidationError carrying the complete violation list; on
-    success returns the spec with derived metrics populated. If `model` is
-    given, each role pool must hold at least one full copy of its weights.
+    success returns the summed peak power of the placed chiplets. If `model`
+    is given, each role pool must hold at least one full copy of its weights.
     """
     violations: list[Violation] = []
-    metrics: dict[str, ChipletMetrics] = {}
+    peak_w: dict[str, float] = {}
     for name, c in sorted(spec.chiplet_types.items()):
-        metrics[name] = derive_chiplet_metrics(c)
+        peak_w[name] = derive_chiplet_metrics(c).peak_power_w
         violations.extend(chiplet_violations(name, c))
-    total_power = sum(
-        metrics[spec.placement[coord]].peak_power_w for coord in spec.placement
-    )
+    total_power = sum(peak_w[name] for name in spec.placement.values())
     if total_power > spec.rack_power_limit_w:
         violations.append(Violation(
             POWER_EXCEEDED, "rack",
@@ -452,14 +429,10 @@ def validate_system(spec: SystemSpec, model: ModelSpec | None = None) -> Validat
                     f"weights {wb} B exceed pool capacity {cap} B"))
     if violations:
         raise SystemValidationError(violations)
-    return ValidatedSystem(
-        spec=spec,
-        metrics=metrics,
-        total_peak_power_w=total_power,
-    )
+    return total_power
 
 
-# --- strict JSON (de)serialization -----------------------------------------
+# --- strict JSON parsing ----------------------------------------------------
 
 def _check_keys(d: dict[str, Any], allowed: set[str], ctx: str) -> None:
     if not isinstance(d, dict):
@@ -529,7 +502,7 @@ def parse_chiplet(d: dict[str, Any], ctx: str = "chiplet") -> ChipletSpec:
 
 def parse_cooling(d: dict[str, Any], ctx: str = "cooling") -> CoolingSpec:
     allowed = {"ambient_c", "r_coldplate", "r_per_dram_layer", "r_bond",
-               "r_lateral", "flow_levels", "t_limit_c", "heat_capacity_j_per_k"}
+               "r_lateral", "flow_levels", "t_limit_c"}
     _check_keys(d, allowed, ctx)
     levels = d.get("flow_levels", [])
     if not isinstance(levels, list):
@@ -598,76 +571,6 @@ def parse_model(d: dict[str, Any]) -> ModelSpec:
         return ModelSpec(attn_variant=variant, **kwargs)
     except TypeError as e:
         raise ConfigError(f"model: {e}") from None
-
-
-def dram_to_dict(d: DramStackSpec) -> dict[str, Any]:
-    return {f.name: getattr(d, f.name) for f in fields(DramStackSpec)}
-
-
-def pe_to_dict(p: PeSpec) -> dict[str, Any]:
-    return {f.name: getattr(p, f.name) for f in fields(PeSpec)}
-
-
-def chiplet_to_dict(c: ChipletSpec) -> dict[str, Any]:
-    return {
-        "role": c.role.value,
-        "pe_rows": c.pe_rows,
-        "pe_cols": c.pe_cols,
-        "pe": pe_to_dict(c.pe),
-        "dram": dram_to_dict(c.dram),
-        "clock_hz": c.clock_hz,
-        "area_budget_mm2": c.area_budget_mm2,
-        "tdp_w": c.tdp_w,
-        "area": {f.name: getattr(c.area, f.name) for f in fields(AreaConsts)},
-        "power": {f.name: getattr(c.power, f.name) for f in fields(PowerConsts)},
-        "flops_scale": c.flops_scale,
-    }
-
-
-def system_to_dict(s: SystemSpec) -> dict[str, Any]:
-    return {
-        "schema": SCHEMA_VERSION,
-        "chiplet_types": {n: chiplet_to_dict(c) for n, c in sorted(s.chiplet_types.items())},
-        "placement": [
-            {"at": [x, y], "type": s.placement[(x, y)]}
-            for (x, y) in sorted(s.placement)
-        ],
-        "alpha_noc_s_per_byte": s.alpha_noc_s_per_byte,
-        "alpha_nop_s_per_byte": s.alpha_nop_s_per_byte,
-        "beta_noc_s_per_hop": s.beta_noc_s_per_hop,
-        "beta_nop_s_per_hop": s.beta_nop_s_per_hop,
-        "edge_hops": s.edge_hops,
-        "rack_power_limit_w": s.rack_power_limit_w,
-        "cooling": {
-            "ambient_c": s.cooling.ambient_c,
-            "r_coldplate": s.cooling.r_coldplate,
-            "r_per_dram_layer": s.cooling.r_per_dram_layer,
-            "r_bond": s.cooling.r_bond,
-            "r_lateral": s.cooling.r_lateral,
-            "flow_levels": [
-                {"r_scale": f.r_scale, "pump_w": f.pump_w} for f in s.cooling.flow_levels
-            ],
-            "t_limit_c": s.cooling.t_limit_c,
-            "heat_capacity_j_per_k": s.cooling.heat_capacity_j_per_k,
-        },
-        "comm_energy_noc_pj_per_byte_hop": s.comm_energy_noc_pj_per_byte_hop,
-        "comm_energy_nop_pj_per_byte_hop": s.comm_energy_nop_pj_per_byte_hop,
-    }
-
-
-def model_to_dict(m: ModelSpec) -> dict[str, Any]:
-    return {
-        "schema": SCHEMA_VERSION,
-        "name": m.name,
-        "n_layers": m.n_layers,
-        "n_heads": m.n_heads,
-        "n_kv_heads": m.n_kv_heads,
-        "d_head": m.d_head,
-        "d_model": m.d_model,
-        "d_ffn": m.d_ffn,
-        "attn_variant": m.attn_variant.value,
-        "dtype_bytes": m.dtype_bytes,
-    }
 
 
 def load_system(path: str) -> SystemSpec:

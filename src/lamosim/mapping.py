@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 from . import dataflow, ops
 from .compute import vpu_cycles
-from .comm import CollectiveKind, EmptyGroup, MeshCoord, collective_cost, link_delay, manhattan
+from .comm import EmptyGroup, MeshCoord, allreduce_cost, link_delay, manhattan
 from .hwspec import ChipletSpec, ModelSpec, Role, SystemSpec
 
 Coord = tuple[int, int]
@@ -54,7 +54,6 @@ class CapacityExceeded(Exception):
 class TpGrouping:
     """Ordered chain of equal-size index groups over the input coords."""
 
-    coords: tuple[Coord, ...]
     groups: tuple[tuple[int, ...], ...]
     spares: tuple[int, ...]
     objective: float
@@ -231,7 +230,6 @@ def tp_group(coords: list[Coord], tp: int, w_inter: float = 0.5, *,
     assigned = set(itertools.chain.from_iterable(groups))
     spares = tuple(sorted(set(range(p)) - assigned))
     return TpGrouping(
-        coords=tuple(coords),
         groups=tuple(tuple(sorted(g)) for g in groups),
         spares=spares,
         objective=grouping_objective(coords, list(groups), w_inter),
@@ -323,8 +321,7 @@ def place_stages(grouping: TpGrouping, pool: list[MeshCoord], n_stages: int,
     ]
     centers = [group_center_coord(m, spec) for m in members_by_group]
     ar_cost = [
-        collective_cost(CollectiveKind.ALLREDUCE, members, center,
-                        act_bytes, spec).latency_s
+        allreduce_cost(members, center, act_bytes, spec).latency_s
         for members, center in zip(members_by_group, centers)
     ]
     bounds = _layer_partition(n_layers, n_stages)
@@ -404,12 +401,6 @@ class PhasePlan:
     stage_members: tuple[tuple[MeshCoord, ...], ...]  # per stage, shard order
     stage_centers: tuple[MeshCoord, ...]
     layer_bounds: tuple[tuple[int, int], ...]
-
-    def stage_of_layer(self, layer: int) -> int:
-        for s, (lo, hi) in enumerate(self.layer_bounds):
-            if lo <= layer < hi:
-                return s
-        raise ValueError(f"layer {layer} outside plan bounds")
 
 
 @dataclass(frozen=True)

@@ -4,9 +4,8 @@ Requests flow arrival -> prefill pipeline -> KV migration -> decode pool.
 Prefill admits FCFS batches of up to max_prefill_batch requests whenever its
 first stage goes idle; a batch traverses the pipeline stages in order, with
 activation handoffs between consecutive stage centers. KV pages migrate per
-layer as soon as that layer's QKV projection has produced them (all at once
-at prefill completion when kv_transfer_at_qkv is off), serialized through one
-FIFO per (source chiplet, destination chiplet) pair.
+layer as soon as that layer's QKV projection has produced them, serialized
+through one FIFO per (source chiplet, destination chiplet) pair.
 
 Decode runs iteration-level batching: whenever its first stage goes idle, a
 beat forms from every resident request not already in flight (continuous
@@ -16,7 +15,7 @@ per request. Context lengths round up to len_bucket for cost lookups, which
 is the same as simulating padded KV pages.
 
 Latency and energy both come from the per-PE dataflow search, the star
-collectives, and the link model; the simulator only adds queueing on top.
+all-reduce, and the link model; the simulator only adds queueing on top.
 Prefill itself emits the first token, so ttft is the prefill pipeline exit
 and e2e == ttft + sum of decode gaps by construction.
 
@@ -38,7 +37,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from . import dataflow, ops
-from .comm import CollectiveKind, MeshCoord, collective_cost, link_delay, link_energy, manhattan
+from .comm import MeshCoord, allreduce_cost, link_delay, link_energy, manhattan
 from .compute import vpu_cycles
 from .dram import effective_bandwidth
 from .hwspec import ChipletSpec, ModelSpec, SystemSpec
@@ -135,7 +134,6 @@ class SimConfig:
     max_decode_batch: int = 64
     len_bucket: int = 64
     continuous_batching: bool = True
-    kv_transfer_at_qkv: bool = True
     kv_budget_bytes: int | None = None
 
     def __post_init__(self) -> None:
@@ -395,8 +393,8 @@ class _Sim:
                 records.append(OpRecord(phase, "vpu", op.tag, op.elements, 0, dt))
             else:  # all-reduce on the stage's group
                 if tp > 1:
-                    cc = collective_cost(CollectiveKind.ALLREDUCE, ctx.members[s],
-                                         ctx.centers[s], op.msg_bytes, self.spec)
+                    cc = allreduce_cost(ctx.members[s], ctx.centers[s], op.msg_bytes,
+                                        self.spec)
                     dt = cc.latency_s
                     comm_j += cc.energy_j
                 else:
@@ -454,8 +452,7 @@ class _Sim:
         cost = self._stage_cost(self.pre, ops.Phase.PREFILL, s,
                                 self._prefill_batch_key(job))
         self._run_stage(self.pre, s, cost)
-        if self.cfg.kv_transfer_at_qkv:
-            self._schedule_kv_sends(s, job, cost, eager=True)
+        self._schedule_kv_sends(s, job, cost)
         self.at(self.now + cost.duration_s,
                 lambda: self._end_prefill_stage(s, job))
 
@@ -486,25 +483,14 @@ class _Sim:
             st.prefill_done = True
             if st.req.output_len == 1:
                 st.done = True
-            elif not self.cfg.kv_transfer_at_qkv:
-                pass  # sends scheduled below, readiness follows arrivals
             elif st.outstanding_kv == 0:
                 self._mark_ready(st)
-        if not self.cfg.kv_transfer_at_qkv:
-            for s in range(len(self.pre.members)):
-                self._schedule_kv_sends(s, job, None, eager=False)
-            for st in job:
-                if not st.done and st.outstanding_kv == 0:
-                    self._mark_ready(st)
 
     def _schedule_kv_sends(self, s: int, job: list[_ReqState],
-                           cost: _StageCost | None, eager: bool) -> None:
-        """Queue this stage's KV pages onto the chiplet-pair bridges.
-
-        Eager mode sends layer by layer as QKV completes inside the running
-        stage; otherwise everything leaves at prefill completion (now).
-        """
-        lo, hi = self.pre.bounds[s]
+                           cost: _StageCost) -> None:
+        """Queue this stage's KV pages onto the chiplet-pair bridges, layer by
+        layer as QKV completes inside the running stage."""
+        lo = self.pre.bounds[s][0]
         for i, src in enumerate(self.pre.members[s]):
             routes = self.peer_map.get((s, i), [])
             for st in job:
@@ -513,11 +499,8 @@ class _Sim:
                 per_layer = st.req.input_len * self.kv_shard_layer_bytes
                 for (plo, phi, dst) in routes:
                     for layer in range(plo, phi):
-                        if eager:
-                            ready = self.now + (layer - lo) * cost.layer_s \
-                                + cost.qkv_offset_s
-                        else:
-                            ready = self.now
+                        ready = self.now + (layer - lo) * cost.layer_s \
+                            + cost.qkv_offset_s
                         st.outstanding_kv += 1
                         self.at(ready, lambda st=st, src=src, dst=dst,
                                 b=per_layer: self._bridge_send(st, src, dst, b))

@@ -1,4 +1,4 @@
-"""Lumped RC thermal network over the chiplet grid, with power feedback.
+"""Lumped thermal resistance network over the chiplet grid, with power feedback.
 
 Each chiplet is one vertical column: a logic node, one node per DRAM layer
 stacked above it, and the top layer tied to the coldplate (ambient) through
@@ -16,7 +16,6 @@ lowest pump level whose converged maximum stays under t_limit_c.
 
 from __future__ import annotations
 
-import math
 from collections import defaultdict
 from dataclasses import dataclass
 from typing import Mapping
@@ -223,34 +222,6 @@ def equilibrium(spec: SystemSpec, dyn: Mapping[Chip, ChipPower], *,
         if not last.over_limit:
             return last
     return last
-
-
-def transient(spec: SystemSpec, dyn: Mapping[Chip, ChipPower], flow: FlowLevel,
-              t0_c: float, dt_s: float, steps: int) -> tuple[dict[Chip, float],
-                                                             dict[Chip, tuple[float, ...]]]:
-    """Forward-Euler march from a uniform start, constant power (leakage and
-    refresh evaluated at the instantaneous temperature each step)."""
-    if dt_s <= 0 or steps < 0:
-        raise ValueError("dt_s must be > 0 and steps >= 0")
-    g, amb, nodes = _conductance(spec, flow)
-    cap = spec.cooling.heat_capacity_j_per_k
-    t = np.full(len(nodes), float(t0_c))
-    idx = {n: i for i, n in enumerate(nodes)}
-    for _ in range(steps):
-        logic = {c: t[idx[(c, -1)]] for c in spec.placement}
-        dram = {c: tuple(t[idx[(c, l)]]
-                         for l in range(spec.chiplet_at(c).dram.n_layer))
-                for c in spec.placement}
-        powers = _temperature_power(spec, dyn, logic, dram)
-        p = np.zeros(len(nodes))
-        for i, (chip, layer) in enumerate(nodes):
-            p[i] = powers[chip].logic_w if layer < 0 else powers[chip].dram_w[layer]
-        t = t + dt_s / cap * (p + amb - g @ t)
-    logic = {c: float(t[idx[(c, -1)]]) for c in spec.placement}
-    dram = {c: tuple(float(t[idx[(c, l)]])
-                     for l in range(spec.chiplet_at(c).dram.n_layer))
-            for c in spec.placement}
-    return logic, dram
 
 
 def coupled_serve(spec: SystemSpec, model, plan, trace,

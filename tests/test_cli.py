@@ -195,6 +195,18 @@ def test_simulate_pool_mixing_chiplet_types_exit2(tmp_path, capsys):
     assert "mixes chiplet types" in capsys.readouterr().err
 
 
+def test_simulate_cooling_heat_capacity_exit2(tmp_path, capsys):
+    # Only the steady-state thermal model exists; no command reads a heat capacity.
+    d = json.loads((CONFIGS / "system_small.json").read_text())
+    d["cooling"]["heat_capacity_j_per_k"] = 50.0
+    f = tmp_path / "heat.json"
+    f.write_text(json.dumps(d))
+    code = main(["simulate", "--system", str(f), "--model", "model_tiny.json",
+                 "--trace", TRACE, "--out", str(tmp_path / "x")])
+    assert code == 2
+    assert "heat_capacity_j_per_k" in capsys.readouterr().err
+
+
 # --- gen-trace --------------------------------------------------------------------
 
 
@@ -280,3 +292,18 @@ def test_dse_chiplet_requires_base(tmp_path, capsys):
                  "--out", str(tmp_path / "x")])
     assert code == 2
     assert "--base" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("domain,message", [
+    ({"n_cores": [1]}, "unknown domain axes ['n_cores']"),  # misspelled n_core
+    ({"nop_channels": [2]}, "unknown domain axes ['nop_channels']"),  # not a chiplet axis
+    ([1], "expected an object"),
+], ids=["misspelled_axis", "package_axis", "not_an_object"])
+def test_dse_chiplet_bad_domain_exit2(tmp_path, capsys, domain, message):
+    f = tmp_path / "domain.json"
+    f.write_text(json.dumps(domain))
+    code = main(["dse", "--level", "chiplet", "--base", "system_small.json",
+                 "--type", "pc", "--budget", "4", "--domain", str(f),
+                 "--out", str(tmp_path / "x")])
+    assert code == 2
+    assert message in capsys.readouterr().err

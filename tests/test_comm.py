@@ -1,4 +1,4 @@
-"""Mesh hop math and star-collective costs against hand arithmetic."""
+"""Mesh hop math and star all-reduce costs against hand arithmetic."""
 
 from __future__ import annotations
 
@@ -8,10 +8,9 @@ from hypothesis import strategies as st
 
 from conftest import make_chiplet, make_system
 from lamosim.comm import (
-    CollectiveKind,
     EmptyGroup,
     MeshCoord,
-    collective_cost,
+    allreduce_cost,
     link_delay,
     link_energy,
     manhattan,
@@ -79,55 +78,47 @@ def test_link_energy_hand_value():
 
 
 def test_collective_2x2_hand_value():
-    # 4 members, corner center: 3 serialized streams + farthest member 2 hops
+    # 4 members, corner center. Each of the reduce and multicast legs costs
+    # 3 serialized streams + the farthest member's 2 hops.
     s = wide_system()
     group = [MeshCoord((0, 0), (x, y)) for x in (0, 1) for y in (0, 1)]
     center = MeshCoord((0, 0), (0, 0))
-    cost = collective_cost(CollectiveKind.REDUCE, group, center, 1024, s)
-    assert cost.latency_s == pytest.approx(0.01e-9 * 1024 * 3 + 5e-9 * 2)
-    assert cost.latency_s == pytest.approx(40.72e-9, rel=1e-6)
-
-
-def test_allreduce_is_reduce_plus_multicast():
-    s = wide_system()
-    group = [MeshCoord((0, 0), (x, y)) for x in (0, 1, 2) for y in (0, 1)]
-    center = MeshCoord((0, 0), (1, 0))
-    red = collective_cost(CollectiveKind.REDUCE, group, center, 4096, s)
-    mc = collective_cost(CollectiveKind.MULTICAST, group, center, 4096, s)
-    ar = collective_cost(CollectiveKind.ALLREDUCE, group, center, 4096, s)
-    assert ar.latency_s == pytest.approx(red.latency_s + mc.latency_s, rel=1e-12)
-    assert ar.energy_j == pytest.approx(red.energy_j + mc.energy_j, rel=1e-12)
+    cost = allreduce_cost(group, center, 1024, s)
+    assert cost.latency_s == pytest.approx(2 * (0.01e-9 * 1024 * 3 + 5e-9 * 2))
+    assert cost.latency_s == pytest.approx(81.44e-9, rel=1e-6)
+    # 1 + 1 + 2 member hops at 0.1 pJ per byte-hop, on each leg
+    assert cost.energy_j == pytest.approx(2 * 1024 * (1 + 1 + 2) * 0.1e-12)
 
 
 def test_singleton_collective_free():
     s = wide_system()
     center = MeshCoord((0, 0), (0, 0))
-    cost = collective_cost(CollectiveKind.ALLREDUCE, [center], center, 1 << 20, s)
+    cost = allreduce_cost([center], center, 1 << 20, s)
     assert cost.latency_s == 0.0 and cost.energy_j == 0.0
 
 
 def test_empty_group_raises():
     s = wide_system()
     with pytest.raises(EmptyGroup):
-        collective_cost(CollectiveKind.REDUCE, [], MeshCoord((0, 0), (0, 0)), 1, s)
+        allreduce_cost([], MeshCoord((0, 0), (0, 0)), 1, s)
 
 
 def test_center_outside_box_rejected():
     s = wide_system()
     group = [MeshCoord((0, 0), (0, 0)), MeshCoord((0, 0), (1, 1))]
     with pytest.raises(ValueError):
-        collective_cost(CollectiveKind.REDUCE, group, MeshCoord((3, 0), (0, 0)), 1, s)
+        allreduce_cost(group, MeshCoord((3, 0), (0, 0)), 1, s)
 
 
 def test_energy_scales_with_bytes_and_hops():
     s = wide_system()
     group = [MeshCoord((0, 0), (0, 0)), MeshCoord((0, 0), (3, 0))]
     center = group[0]
-    e1 = collective_cost(CollectiveKind.REDUCE, group, center, 1000, s).energy_j
-    e2 = collective_cost(CollectiveKind.REDUCE, group, center, 2000, s).energy_j
+    e1 = allreduce_cost(group, center, 1000, s).energy_j
+    e2 = allreduce_cost(group, center, 2000, s).energy_j
     assert e2 == pytest.approx(2 * e1)
     far = [MeshCoord((0, 0), (0, 0)), MeshCoord((1, 0), (3, 0))]
-    e3 = collective_cost(CollectiveKind.REDUCE, far, far[0], 1000, s).energy_j
+    e3 = allreduce_cost(far, far[0], 1000, s).energy_j
     assert e3 > e1  # NoP hops cost more energy per byte
 
 

@@ -15,7 +15,6 @@ from lamosim.compute import (
     InfeasibleTiling,
     TileMapping,
     gemm_cycles,
-    sa_utilization,
     vpu_cycles,
 )
 
@@ -41,17 +40,6 @@ def test_degenerate_1x1():
     cost = gemm_cycles(GemmShape(1, 1, 1), TileMapping(1, 1, 1), pe)
     assert cost.cycles == 2
     assert cost.utilization == pytest.approx(1.0)
-
-
-def test_sa_utilization_cases():
-    mono = make_pe()  # base rows = 32 (monolithic)
-    assert sa_utilization(GemmShape(8, 32, 32), mono, 1) == pytest.approx(0.25)
-    assert sa_utilization(GemmShape(64, 32, 32), mono, 1) == pytest.approx(1.0)
-    split = make_pe(base_sa_rows=8)
-    # four independent m=8 row-blocks fill all four base SAs
-    assert sa_utilization(GemmShape(8, 32, 32), split, 4) == pytest.approx(1.0)
-    with pytest.raises(ValueError):
-        sa_utilization(GemmShape(8, 32, 32), split, 5)
 
 
 def test_base_sa_speeds_up_gemv():

@@ -8,8 +8,6 @@ the scalar cost models (which have their own oracles in test_compute/test_dram).
 
 from __future__ import annotations
 
-import math
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,12 +16,10 @@ from conftest import make_dram, make_pe
 from lamosim import dataflow, ops, serving
 from lamosim.compute import CostLut, GemmShape, TileMapping
 from lamosim.dataflow import (
-    DataflowResult,
     NoFeasibleMapping,
     ReusePolicy,
     enumerate_tilings,
     evaluate_mapping,
-    feasible_policies,
     search,
     staged_tile_bytes,
 )
@@ -87,9 +83,8 @@ def test_feasible_policies_boundary():
     # 4x4 tiles, 2-byte dtype, 32 B SRAM: each single-operand tile is exactly
     # 32 B (feasible); staging all three needs 96 B (infeasible).
     t = TileMapping(4, 4, 4)
-    pols = feasible_policies(t, sram_bytes=32, dtype_bytes=2)
-    assert pols == [ReusePolicy.INPUT_REUSE, ReusePolicy.WEIGHT_REUSE,
-                    ReusePolicy.OUTPUT_REUSE]
+    sizes = [staged_tile_bytes(p, t, dtype_bytes=2) for p in ReusePolicy]
+    assert sizes == [32, 32, 32, 96]
 
 
 def test_search_matches_brute_force_exactly():

@@ -12,7 +12,7 @@ from conftest import make_chiplet, make_dram, make_model, make_system
 from lamosim import dse, mapping, ops
 from lamosim.hwspec import ConfigError, Role, derive_chiplet_metrics
 from lamosim.mapping import CapacityExceeded
-from lamosim.serving import SimConfig, synth_trace
+from lamosim.serving import synth_trace
 
 
 # --- Pareto utilities ---------------------------------------------------------
@@ -150,6 +150,15 @@ def test_chiplet_dse_deterministic():
     a = dse.chiplet_dse(make_chiplet(), n_samples=50, seed=7)
     b = dse.chiplet_dse(make_chiplet(), n_samples=50, seed=7)
     assert a == b
+
+
+def test_chiplet_dse_domain_axes_exact():
+    full = dict(dse.DEFAULT_CHIPLET_DOMAIN)
+    with pytest.raises(ValueError, match="unknown \\['nop_channels'\\]"):
+        dse.chiplet_dse(make_chiplet(), 4, 0, domain={**full, "nop_channels": (2,)})
+    del full["n_core"]
+    with pytest.raises(ValueError, match="missing \\['n_core'\\]"):
+        dse.chiplet_dse(make_chiplet(), 4, 0, domain=full)
 
 
 # --- plan selection -----------------------------------------------------------

@@ -8,7 +8,6 @@ so it checks the bookkeeping rather than the cost model.
 
 from __future__ import annotations
 
-import math
 from collections import defaultdict
 
 import pytest
@@ -181,18 +180,6 @@ def test_batched_beats_beat_serial_decode(tiny_model, system):
     narrow = simulate(system, tiny_model, plan, tr,
                       SimConfig(len_bucket=4, max_decode_batch=1))
     assert wide.makespan_s < narrow.makespan_s
-
-
-def test_eager_kv_transfer_no_slower(tiny_model, system):
-    plan = _plan(system, tiny_model, tp_prefill=2, tp_decode=2)
-    tr = synth_trace("custom", 10, 100.0, seed=2, mean_input=32, mean_output=5)
-    eager = simulate(system, tiny_model, plan, tr,
-                     SimConfig(len_bucket=4, kv_transfer_at_qkv=True))
-    late = simulate(system, tiny_model, plan, tr,
-                    SimConfig(len_bucket=4, kv_transfer_at_qkv=False))
-    for a, b in zip(eager.requests, late.requests):
-        assert a.ttft_s == pytest.approx(b.ttft_s, rel=1e-12)
-    assert eager.makespan_s <= late.makespan_s * (1 + 1e-12)
 
 
 # --- KV budget --------------------------------------------------------------------

@@ -10,7 +10,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import make_chiplet, make_cooling, make_dram, make_model, make_system
+from conftest import make_chiplet, make_cooling, make_dram, make_system
 from lamosim import serving, thermal
 from lamosim.hwspec import FlowLevel, PowerConsts, Role
 from lamosim.mapping import build_pd_plan
@@ -21,7 +21,6 @@ from lamosim.thermal import (
     activity_power,
     equilibrium,
     solve_steady,
-    transient,
 )
 
 
@@ -176,16 +175,6 @@ def test_detached_column_is_singular():
     with pytest.raises(SingularNetwork):
         solve_steady(spec, {(0, 0): ChipPower(10.0, (0.0,))},
                      spec.cooling.flow_levels[0])
-
-
-def test_transient_approaches_steady_state():
-    spec = one_chip_system(n_layer=2)
-    dyn = {(0, 0): ChipPower(40.0, (2.0, 2.0))}
-    flow = spec.cooling.flow_levels[0]
-    res = equilibrium(spec, dyn)
-    logic, dram = transient(spec, dyn, flow, t0_c=45.0, dt_s=0.05, steps=6000)
-    assert logic[(0, 0)] == pytest.approx(res.logic_c[(0, 0)], abs=0.6)
-    assert dram[(0, 0)][1] == pytest.approx(res.dram_c[(0, 0)][1], abs=0.6)
 
 
 def test_activity_power_aggregates_per_chip(system):
