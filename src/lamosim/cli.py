@@ -26,7 +26,9 @@ import sys
 import time
 import traceback
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Any, Callable
 
 from . import __version__, dataflow
 from .compute import GemmShape
@@ -40,12 +42,14 @@ from .dse import (
     system_dse,
 )
 from .hwspec import (
+    ChipletSpec,
     ConfigError,
     Role,
     SystemValidationError,
     derive_chiplet_metrics,
     dump_json,
     parse_chiplet,
+    parse_json,
     parse_model,
     parse_system,
     validate_system,
@@ -105,46 +109,49 @@ def _config_path(arg: str) -> Path:
     raise UsageError(f"config file not found: {arg}")
 
 
-def _load_json(arg: str) -> tuple[dict, str]:
-    """(parsed object, sha256 of the file bytes)."""
+def _load_config(arg: str, parse: Callable[[Any], Any]) -> tuple[Any, str]:
+    """(parse(JSON of the file), sha256 of the file bytes); errors name the file."""
     path = _config_path(arg)
     data = path.read_bytes()
     try:
-        obj = json.loads(data)
+        return parse(json.loads(data)), hashlib.sha256(data).hexdigest()
     except json.JSONDecodeError as e:
         raise UsageError(f"{path}: invalid JSON ({e})") from None
-    return obj, hashlib.sha256(data).hexdigest()
-
-
-def _load_system(arg: str):
-    obj, digest = _load_json(arg)
-    try:
-        return parse_system(obj), digest
     except ConfigError as e:
         raise UsageError(f"{arg}: {e}") from None
 
 
-def _load_model(arg: str):
-    obj, digest = _load_json(arg)
-    try:
-        return parse_model(obj), digest
-    except ConfigError as e:
-        raise UsageError(f"{arg}: {e}") from None
+def _chiplet_of(obj: Any, type_name: str | None) -> ChipletSpec:
+    """A bare chiplet JSON, or one type (by default the first by name) of a system JSON."""
+    if not (isinstance(obj, dict) and "chiplet_types" in obj):
+        return parse_chiplet(obj)
+    types = parse_system(obj).chiplet_types
+    name = type_name or min(types)
+    if name not in types:
+        raise ConfigError(f"no chiplet type {name!r} (has {sorted(types)})")
+    return types[name]
 
 
-def _load_chiplet(arg: str, type_name: str | None = None):
-    """A bare chiplet JSON, or a system JSON plus a chiplet type name."""
-    obj, digest = _load_json(arg)
-    try:
-        if "chiplet_types" in obj:
-            types = obj["chiplet_types"]
-            name = type_name or sorted(types)[0]
-            if name not in types:
-                raise UsageError(f"{arg}: no chiplet type {name!r} (has {sorted(types)})")
-            return parse_chiplet(types[name], name), digest
-        return parse_chiplet(obj), digest
-    except ConfigError as e:
-        raise UsageError(f"{arg}: {e}") from None
+@dataclass(frozen=True)
+class PhaseShape:
+    tp: int
+    pp: int
+
+    def __post_init__(self) -> None:
+        if self.tp < 1 or self.pp < 1:
+            raise ConfigError(f"tp and pp must be >= 1, got tp={self.tp} pp={self.pp}")
+
+
+@dataclass(frozen=True)
+class PlanFile:  # the --plan file
+    prefill: PhaseShape
+    decode: PhaseShape
+
+
+@dataclass(frozen=True)
+class Candidates:  # the --candidates file
+    pc: tuple[ChipletSpec, ...]
+    dc: tuple[ChipletSpec, ...]
 
 
 def _parse_shape(text: str) -> GemmShape:
@@ -165,7 +172,11 @@ def _parse_trace(arg: str, seed: int):
     `simulate` given the same spec and seed see the same requests.
     """
     if os.path.exists(arg):
-        return load_trace_csv(arg), {"trace": hashlib.sha256(Path(arg).read_bytes()).hexdigest()}
+        try:
+            trace = load_trace_csv(arg)
+        except ValueError as e:
+            raise UsageError(f"{arg}: {e}") from None
+        return trace, {"trace": hashlib.sha256(Path(arg).read_bytes()).hexdigest()}
     head, _, rest = arg.partition(":")
     if head not in TRACE_MEANS and head != "custom":
         raise UsageError(f"trace file not found: {arg}")
@@ -175,14 +186,12 @@ def _parse_trace(arg: str, seed: int):
         if not eq or key not in kw:
             raise UsageError(f"bad trace spec field {field!r} in {arg!r}")
         try:
-            kw[key] = int(val) if key == "n" else float(val)
+            kw[key] = float(val) if key == "rate" else int(val)
         except ValueError:
             raise UsageError(f"bad trace spec value {field!r} in {arg!r}") from None
     try:
-        trace = synth_trace(
-            head, int(kw["n"]), kw["rate"], sub_seed(seed, "trace"),
-            mean_input=None if kw["mean_in"] is None else int(kw["mean_in"]),
-            mean_output=None if kw["mean_out"] is None else int(kw["mean_out"]))
+        trace = synth_trace(head, kw["n"], kw["rate"], sub_seed(seed, "trace"),
+                            mean_input=kw["mean_in"], mean_output=kw["mean_out"])
     except ValueError as e:
         raise UsageError(f"trace spec {arg!r}: {e}") from None
     return trace, {"trace_spec": arg}
@@ -254,12 +263,12 @@ _POLICY_FLAG = {
 
 def cmd_dataflow(args) -> int:
     t0 = time.perf_counter()
-    chiplet, pe_hash = _load_chiplet(args.pe, args.type)
+    chiplet, pe_hash = _load_config(args.pe, lambda obj: _chiplet_of(obj, args.type))
     shape = _parse_shape(args.shape)
     configs = {"pe": pe_hash}
     dtype = args.dtype_bytes
     if args.model:
-        model, model_hash = _load_model(args.model)
+        model, model_hash = _load_config(args.model, parse_model)
         dtype = model.dtype_bytes
         configs["model"] = model_hash
     policies = _POLICY_FLAG[args.policy]
@@ -311,18 +320,11 @@ def _build_plan(spec, model, args, configs):
         choice = search_plan(spec, model, kv_budget_decode_bytes=kv_arg,
                              temp_c=args.temp_c, seed=sub_seed(args.seed, "plan"))
         return choice.plan, choice.kv_budget_bytes
-    obj, digest = _load_json(args.plan)
-    configs["plan"] = digest
-    try:
-        shapes = {ph: (int(obj[ph]["tp"]), int(obj[ph]["pp"]))
-                  for ph in ("prefill", "decode")}
-    except (KeyError, TypeError, ValueError):
-        raise UsageError(
-            f'{args.plan}: plan needs {{"prefill": {{"tp", "pp"}}, "decode": ...}}') from None
+    shapes, configs["plan"] = _load_config(args.plan, lambda obj: parse_json(PlanFile, obj, "plan"))
     plan = build_pd_plan(
         spec, model,
-        tp_prefill=shapes["prefill"][0], pp_prefill=shapes["prefill"][1],
-        tp_decode=shapes["decode"][0], pp_decode=shapes["decode"][1],
+        tp_prefill=shapes.prefill.tp, pp_prefill=shapes.prefill.pp,
+        tp_decode=shapes.decode.tp, pp_decode=shapes.decode.pp,
         kv_budget_decode_bytes=kv_arg or 0, seed=sub_seed(args.seed, "plan"))
     budget = kv_arg if kv_arg is not None else kv_headroom(plan.decode, spec, model)
     return plan, budget
@@ -348,8 +350,8 @@ def _plan_dict(plan, kv_budget: int) -> dict:
 
 def cmd_simulate(args) -> int:
     t0 = time.perf_counter()
-    spec, sys_hash = _load_system(args.system)
-    model, model_hash = _load_model(args.model)
+    spec, sys_hash = _load_config(args.system, parse_system)
+    model, model_hash = _load_config(args.model, parse_model)
     configs = {"system": sys_hash, "model": model_hash}
     validate_system(spec, model)
     trace, trace_cfg = _parse_trace(args.trace, args.seed)
@@ -450,22 +452,20 @@ _CHIPLET_HEADER = [
 
 def cmd_dse_chiplet(args) -> int:
     t0 = time.perf_counter()
-    base, base_hash = _load_chiplet(args.base, args.type)
+    base, base_hash = _load_config(args.base, lambda obj: _chiplet_of(obj, args.type))
     configs = {"base": base_hash}
     domain = dict(DEFAULT_CHIPLET_DOMAIN)
     if args.domain:
-        obj, digest = _load_json(args.domain)
-        configs["domain"] = digest
-        if not isinstance(obj, dict):
-            raise UsageError(f"{args.domain}: expected an object {{axis: [values]}}")
-        unknown = sorted(set(obj) - set(DEFAULT_CHIPLET_DOMAIN))
+        axes, configs["domain"] = _load_config(
+            args.domain, lambda obj: parse_json(dict[str, tuple[int, ...]], obj, "domain"))
+        unknown = sorted(set(axes) - set(DEFAULT_CHIPLET_DOMAIN))
         if unknown:
             raise UsageError(f"{args.domain}: unknown domain axes {unknown} "
                              f"(axes: {sorted(DEFAULT_CHIPLET_DOMAIN)})")
-        bad = [k for k, v in obj.items() if not isinstance(v, list) or not v]
-        if bad:
-            raise UsageError(f"{args.domain}: axes must be non-empty lists: {bad}")
-        domain.update({k: tuple(v) for k, v in obj.items()})
+        empty = [k for k, v in axes.items() if not v]
+        if empty:
+            raise UsageError(f"{args.domain}: axes must be non-empty lists: {empty}")
+        domain.update(axes)
     res = chiplet_dse(base, args.budget, args.seed, domain=domain, eps=args.eps)
     out = OutDir(args.out)
     front = set(res.front)
@@ -492,9 +492,12 @@ def _parse_counts(args, template) -> list[tuple[int, int]]:
             if len(parts) != 2:
                 raise UsageError(f"--counts takes N_PC,N_DC, got {c!r}")
             try:
-                out.append((int(parts[0]), int(parts[1])))
+                n_pc, n_dc = int(parts[0]), int(parts[1])
             except ValueError:
                 raise UsageError(f"--counts takes N_PC,N_DC, got {c!r}") from None
+            if n_pc < 1 or n_dc < 1:
+                raise UsageError(f"--counts needs at least one chiplet per pool, got {c!r}")
+            out.append((n_pc, n_dc))
         return out
     roles = [template.chiplet_types[n].role for n in template.placement.values()]
     return [(sum(r is Role.PREFILL for r in roles),
@@ -503,19 +506,11 @@ def _parse_counts(args, template) -> list[tuple[int, int]]:
 
 def _load_candidates(args, template, configs):
     if args.candidates:
-        obj, digest = _load_json(args.candidates)
-        configs["candidates"] = digest
-        try:
-            pc = [parse_chiplet(d, f"pc[{i}]") for i, d in enumerate(obj["pc"])]
-            dc = [parse_chiplet(d, f"dc[{i}]") for i, d in enumerate(obj["dc"])]
-        except (KeyError, TypeError):
-            raise UsageError(
-                f'{args.candidates}: expected {{"pc": [...], "dc": [...]}}') from None
-        except ConfigError as e:
-            raise UsageError(f"{args.candidates}: {e}") from None
-        if not pc or not dc:
+        cands, configs["candidates"] = _load_config(
+            args.candidates, lambda obj: parse_json(Candidates, obj, "candidates"))
+        if not cands.pc or not cands.dc:
             raise UsageError(f"{args.candidates}: both candidate lists must be non-empty")
-        return pc, dc
+        return cands.pc, cands.dc
     pc = [template.chiplet_types[n] for n in sorted(template.chiplet_types)
           if template.chiplet_types[n].role is Role.PREFILL]
     dc = [template.chiplet_types[n] for n in sorted(template.chiplet_types)
@@ -542,8 +537,8 @@ def _eval_row(rank: int, ev) -> list:
 
 def cmd_dse_system(args) -> int:
     t0 = time.perf_counter()
-    template, sys_hash = _load_system(args.system)
-    model, model_hash = _load_model(args.model)
+    template, sys_hash = _load_config(args.system, parse_system)
+    model, model_hash = _load_config(args.model, parse_model)
     configs = {"system": sys_hash, "model": model_hash}
     trace, trace_cfg = _parse_trace(args.trace, args.seed)
     configs.update(trace_cfg)
@@ -616,16 +611,29 @@ def cmd_dse(args) -> int:
     for flag in ("system", "model", "trace"):
         if not getattr(args, flag):
             raise UsageError(f"--level system requires --{flag}")
+    if args.budget < 2:
+        raise UsageError(f"--budget must be >= 2 at --level system, got {args.budget}")
     return cmd_dse_system(args)
 
 
 # --- parser ------------------------------------------------------------------------
 
 
+def _at_least(kind: type, low):
+    """argparse type: a `kind` number no smaller than `low`."""
+    def parse(text: str):
+        value = kind(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {text}")
+        return value
+    parse.__name__ = kind.__name__  # argparse names it in "invalid int value"
+    return parse
+
+
 def _add_batching_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--max-prefill-batch", type=int, default=4)
-    p.add_argument("--max-decode-batch", type=int, default=64)
-    p.add_argument("--len-bucket", type=int, default=64)
+    p.add_argument("--max-prefill-batch", type=_at_least(int, 1), default=4)
+    p.add_argument("--max-decode-batch", type=_at_least(int, 1), default=64)
+    p.add_argument("--len-bucket", type=_at_least(int, 1), default=64)
     p.add_argument("--static-batching", action="store_true",
                    help="disable continuous batching")
     p.add_argument("--kv-budget-mb", type=float, default=None,
@@ -646,7 +654,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--type", default=None,
                    help="chiplet type name when --pe is a system JSON")
     p.add_argument("--model", default=None, help="model JSON; sets dtype")
-    p.add_argument("--dtype-bytes", type=int, default=2)
+    p.add_argument("--dtype-bytes", type=_at_least(int, 1), default=2)
     p.add_argument("--temp-c", type=float, default=65.0)
     p.add_argument("--policy", choices=sorted(_POLICY_FLAG), default="d3",
                    help="d3 searches all reuse policies; others fix one")
@@ -684,7 +692,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dse", help="design-space exploration")
     p.add_argument("--level", choices=["chiplet", "system"], required=True)
-    p.add_argument("--budget", type=int, required=True,
+    p.add_argument("--budget", type=_at_least(int, 1), required=True,
                    help="chiplet: samples to draw; system: simulation budget")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
@@ -694,7 +702,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--type", default=None)
     p.add_argument("--domain", default=None,
                    help="JSON {axis: [values]}; unlisted axes keep their defaults")
-    p.add_argument("--eps", type=float, default=0.05,
+    p.add_argument("--eps", type=_at_least(float, 0.0), default=0.05,
                    help="near-Pareto retention band")
     # system level
     p.add_argument("--system", default=None, help="template system JSON")
@@ -707,7 +715,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="pool sizes to explore (repeatable); default: the template's")
     p.add_argument("--slo-ttft", type=float, default=None, help="p95 TTFT bound, s")
     p.add_argument("--slo-tbt", type=float, default=None, help="p95 TBT bound, s")
-    p.add_argument("--wave", type=int, default=8,
+    p.add_argument("--wave", type=_at_least(int, 1), default=8,
                    help="proposals per annealing wave")
     p.add_argument("--temp-c", type=float, default=65.0)
     p.add_argument("--jobs", type=int, default=None,

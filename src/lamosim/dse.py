@@ -70,20 +70,10 @@ class NoFeasibleDesign(Exception):
 # --- Pareto utilities --------------------------------------------------------
 
 
-def dominates(a: Sequence[float], b: Sequence[float]) -> bool:
-    """All objectives >= (maximization sense) with at least one strict."""
-    return all(x >= y for x, y in zip(a, b)) and any(x > y for x, y in zip(a, b))
-
-
-def pareto_front(items: Sequence, key: Callable[[object], Sequence[float]]) -> list:
-    pts = [(it, tuple(key(it))) for it in items]
-    return [it for it, p in pts
-            if not any(dominates(q, p) for _, q in pts)]
-
-
 def epsilon_retained(items: Sequence, key: Callable[[object], Sequence[float]],
                      eps: float) -> list:
-    """Items no rival beats by a factor (1 + eps) in every objective.
+    """Items no rival beats by a factor (1 + eps) in every objective, in
+    order; equal points never beat each other, so eps 0 gives the Pareto front.
 
     Objectives must be positive and in maximization sense; a minimized
     quantity goes in as its reciprocal.
@@ -158,28 +148,28 @@ def chiplet_from_sample(base: ChipletSpec, sample: Mapping[str, int]) -> Chiplet
     """Instantiate a candidate: sampled geometry over the base chiplet's
     timing, energy, and budget constants. Raises ConfigError (via the spec
     constructors) or ValueError when the combination is inconsistent."""
-    rows, cols = _grid_dims(int(sample["n_pe"]))
+    rows, cols = _grid_dims(sample["n_pe"])
     dram = replace(
         base.dram,
-        n_layer=int(sample["n_layer"]),
-        n_bank=int(sample["n_bank"]),
-        n_io_bits=int(sample["n_io_bits"]),
-        page_size_bytes=int(sample["page_bytes"]),
-        capacity_bytes=int(sample["capacity_gb"]) << 30,
+        n_layer=sample["n_layer"],
+        n_bank=sample["n_bank"],
+        n_io_bits=sample["n_io_bits"],
+        page_size_bytes=sample["page_bytes"],
+        capacity_bytes=sample["capacity_gb"] << 30,
     )
     n_mc = dram.channels // (rows * cols)
     if n_mc < 1:
         raise ValueError("fewer DRAM channels than PEs")
     pe = replace(
         base.pe,
-        n_core=int(sample["n_core"]),
-        sa_rows=int(sample["sa_rows"]),
-        sa_cols=int(sample["sa_cols"]),
-        base_sa_rows=int(sample["base_sa_rows"]),
-        sram_capacity_bytes=int(sample["sram_kb"]) * 1024,
-        sram_banks=int(sample["sram_banks"]),
-        vector_regs=int(sample["vector_regs"]),
-        noc_flit_bits=int(sample["noc_flit_bits"]),
+        n_core=sample["n_core"],
+        sa_rows=sample["sa_rows"],
+        sa_cols=sample["sa_cols"],
+        base_sa_rows=sample["base_sa_rows"],
+        sram_capacity_bytes=sample["sram_kb"] * 1024,
+        sram_banks=sample["sram_banks"],
+        vector_regs=sample["vector_regs"],
+        noc_flit_bits=sample["noc_flit_bits"],
         n_mc=n_mc,
     )
     return replace(base, pe_rows=rows, pe_cols=cols, pe=pe, dram=dram)
@@ -225,7 +215,7 @@ def chiplet_dse(base: ChipletSpec, n_samples: int, seed: int,
     front: list[ChipletSpec] = []
     retained: list[ChipletSpec] = []
     for cap in sorted(by_cap):
-        front.extend(pareto_front(by_cap[cap], _chiplet_objectives))
+        front.extend(epsilon_retained(by_cap[cap], _chiplet_objectives, 0.0))
         retained.extend(epsilon_retained(by_cap[cap], _chiplet_objectives, eps))
     return ChipletDseResult(
         sampled=n_samples,

@@ -5,16 +5,18 @@ systems, cooling, and transformer models, plus strict JSON parsing and
 system-level validation. Every other module consumes these types; none of
 them mutates a spec after construction.
 
-JSON configs carry a `"schema": 1` field, use unit-suffixed field names
-(`t_rcd_ns`, `capacity_bytes`), and reject unknown keys so typos fail loudly.
+JSON configs carry a `"schema": 1` field and use unit-suffixed field names
+(`t_rcd_ns`, `capacity_bytes`). `parse_json` reads each spec by its annotations
+and rejects unknown keys and wrongly typed values, naming the field path.
 """
 
 from __future__ import annotations
 
+import functools
 import json
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from enum import Enum
-from typing import Any
+from typing import Any, get_args, get_origin, get_type_hints
 
 SCHEMA_VERSION = 1
 
@@ -434,143 +436,91 @@ def validate_system(spec: SystemSpec, model: ModelSpec | None = None) -> float:
 
 # --- strict JSON parsing ----------------------------------------------------
 
-def _check_keys(d: dict[str, Any], allowed: set[str], ctx: str) -> None:
-    if not isinstance(d, dict):
-        raise ConfigError(f"{ctx}: expected an object, got {type(d).__name__}")
-    unknown = set(d) - allowed
+
+# A dataclass's field types by name, resolved from its annotations once per class.
+_field_types = functools.cache(get_type_hints)
+
+
+@dataclass(frozen=True)
+class _PlacementEntry:
+    at: tuple[int, ...]
+    type: str
+
+
+def parse_json(tp: Any, obj: Any, ctx: str) -> Any:
+    """Read a JSON value as type `tp`, naming the field path `ctx` on error.
+
+    A dataclass takes exactly its own fields; `tuple[X, ...]` reads a list,
+    `dict[str, X]` an object, an enum its value. An int rejects fractions and
+    booleans but reads an integer-valued float such as 2.0 as 2. A float takes
+    any non-boolean number as given, so an int stays an int. The one dict not
+    keyed by strings, SystemSpec.placement, reads a list of coordinate entries.
+    """
+    origin = get_origin(tp)
+    if origin is tuple:
+        if not isinstance(obj, list):
+            raise ConfigError(f"{ctx}: expected a list, got {type(obj).__name__}")
+        item = get_args(tp)[0]
+        return tuple(parse_json(item, v, f"{ctx}[{i}]") for i, v in enumerate(obj))
+    if origin is dict:
+        key, item = get_args(tp)
+        if key is not str:  # SystemSpec.placement: [{"at": [x, y], "type": name}, ...]
+            placement = {}
+            for i, e in enumerate(parse_json(tuple[_PlacementEntry, ...], obj, ctx)):
+                if len(e.at) != 2:
+                    raise ConfigError(f"{ctx}[{i}].at: expected [x, y]")
+                if e.at in placement:
+                    raise ConfigError(f"{ctx}[{i}]: duplicate coordinate {e.at}")
+                placement[e.at] = e.type
+            return placement
+        if not isinstance(obj, dict):
+            raise ConfigError(f"{ctx}: expected an object, got {type(obj).__name__}")
+        return {k: parse_json(item, v, f"{ctx}.{k}") for k, v in obj.items()}
+    if tp in (int, float, str):
+        if tp is int and isinstance(obj, float) and obj.is_integer():
+            return int(obj)
+        if isinstance(obj, bool) or not isinstance(obj, (int, float) if tp is float else tp):
+            raise ConfigError(f"{ctx}: expected {tp.__name__}, got {obj!r}")
+        return obj
+    if issubclass(tp, Enum):
+        try:
+            return tp(obj)
+        except ValueError:
+            raise ConfigError(
+                f"{ctx}: must be one of {[m.value for m in tp]}, got {obj!r}") from None
+    types = _field_types(tp)
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{ctx}: expected an object, got {type(obj).__name__}")
+    unknown = set(obj) - set(types)
     if unknown:
         raise ConfigError(f"{ctx}: unknown fields {sorted(unknown)}")
-
-
-def _dataclass_fields(cls: type) -> dict[str, Any]:
-    return {f.name: f for f in fields(cls)}
-
-
-def _parse_simple(cls: type, d: dict[str, Any], ctx: str) -> Any:
-    """Build a flat dataclass from a dict, type-coercing ints/floats."""
-    fmap = _dataclass_fields(cls)
-    _check_keys(d, set(fmap), ctx)
-    kwargs: dict[str, Any] = {}
-    for name, f in fmap.items():
-        if name not in d:
-            continue  # fall back to the dataclass default (missing required -> TypeError below)
-        v = d[name]
-        if f.type in ("int",) and isinstance(v, float) and v.is_integer():
-            v = int(v)
-        kwargs[name] = v
+    kwargs = {k: parse_json(types[k], v, f"{ctx}.{k}") for k, v in obj.items()}
     try:
-        return cls(**kwargs)
-    except TypeError as e:
+        return tp(**kwargs)
+    except TypeError as e:  # a field without a default is missing
         raise ConfigError(f"{ctx}: {e}") from None
 
 
-def parse_dram(d: dict[str, Any], ctx: str = "dram") -> DramStackSpec:
-    return _parse_simple(DramStackSpec, d, ctx)
+def _unversioned(d: Any, ctx: str) -> dict[str, Any]:
+    """A top-level config object without its `schema` field, once that is checked."""
+    if not isinstance(d, dict):
+        raise ConfigError(f"{ctx}: expected an object, got {type(d).__name__}")
+    schema = d.get("schema")
+    if isinstance(schema, bool) or schema != SCHEMA_VERSION:  # True == 1
+        raise ConfigError(f"{ctx}: schema must be {SCHEMA_VERSION}")
+    return {k: v for k, v in d.items() if k != "schema"}
 
 
-def parse_pe(d: dict[str, Any], ctx: str = "pe") -> PeSpec:
-    return _parse_simple(PeSpec, d, ctx)
+def parse_chiplet(d: Any, ctx: str = "chiplet") -> ChipletSpec:
+    return parse_json(ChipletSpec, d, ctx)
 
 
-def parse_chiplet(d: dict[str, Any], ctx: str = "chiplet") -> ChipletSpec:
-    allowed = {"role", "pe_rows", "pe_cols", "pe", "dram", "clock_hz",
-               "area_budget_mm2", "tdp_w", "area", "power", "flops_scale"}
-    _check_keys(d, allowed, ctx)
-    try:
-        role = Role(d["role"])
-    except (KeyError, ValueError):
-        raise ConfigError(f"{ctx}: role must be one of {[r.value for r in Role]}") from None
-    kwargs = dict(
-        role=role,
-        pe_rows=d.get("pe_rows"),
-        pe_cols=d.get("pe_cols"),
-        pe=parse_pe(d.get("pe", {}), f"{ctx}.pe"),
-        dram=parse_dram(d.get("dram", {}), f"{ctx}.dram"),
-        clock_hz=d.get("clock_hz"),
-        area_budget_mm2=d.get("area_budget_mm2"),
-        tdp_w=d.get("tdp_w"),
-        area=_parse_simple(AreaConsts, d.get("area", {}), f"{ctx}.area"),
-        power=_parse_simple(PowerConsts, d.get("power", {}), f"{ctx}.power"),
-    )
-    if "flops_scale" in d:
-        kwargs["flops_scale"] = d["flops_scale"]
-    try:
-        return ChipletSpec(**kwargs)
-    except TypeError as e:
-        raise ConfigError(f"{ctx}: {e}") from None
+def parse_system(d: Any) -> SystemSpec:
+    return parse_json(SystemSpec, _unversioned(d, "system"), "system")
 
 
-def parse_cooling(d: dict[str, Any], ctx: str = "cooling") -> CoolingSpec:
-    allowed = {"ambient_c", "r_coldplate", "r_per_dram_layer", "r_bond",
-               "r_lateral", "flow_levels", "t_limit_c"}
-    _check_keys(d, allowed, ctx)
-    levels = d.get("flow_levels", [])
-    if not isinstance(levels, list):
-        raise ConfigError(f"{ctx}.flow_levels: expected a list")
-    flow = tuple(
-        _parse_simple(FlowLevel, lv, f"{ctx}.flow_levels[{i}]") for i, lv in enumerate(levels)
-    )
-    kwargs = {k: d[k] for k in allowed if k in d and k != "flow_levels"}
-    try:
-        return CoolingSpec(flow_levels=flow, **kwargs)
-    except TypeError as e:
-        raise ConfigError(f"{ctx}: {e}") from None
-
-
-def parse_system(d: dict[str, Any]) -> SystemSpec:
-    allowed = {"schema", "chiplet_types", "placement", "alpha_noc_s_per_byte",
-               "alpha_nop_s_per_byte", "beta_noc_s_per_hop", "beta_nop_s_per_hop",
-               "edge_hops", "rack_power_limit_w", "cooling",
-               "comm_energy_noc_pj_per_byte_hop", "comm_energy_nop_pj_per_byte_hop"}
-    _check_keys(d, allowed, "system")
-    if d.get("schema") != SCHEMA_VERSION:
-        raise ConfigError(f"system: schema must be {SCHEMA_VERSION}")
-    types_in = d.get("chiplet_types", {})
-    if not isinstance(types_in, dict):
-        raise ConfigError("system.chiplet_types: expected an object")
-    chiplet_types = {
-        name: parse_chiplet(cd, f"system.chiplet_types.{name}")
-        for name, cd in types_in.items()
-    }
-    placement: dict[tuple[int, int], str] = {}
-    for i, entry in enumerate(d.get("placement", [])):
-        _check_keys(entry, {"at", "type"}, f"system.placement[{i}]")
-        at = entry.get("at")
-        if (not isinstance(at, list)) or len(at) != 2:
-            raise ConfigError(f"system.placement[{i}].at: expected [x, y]")
-        coord = (int(at[0]), int(at[1]))
-        if coord in placement:
-            raise ConfigError(f"system.placement[{i}]: duplicate coordinate {coord}")
-        placement[coord] = entry.get("type", "")
-    kwargs = {k: d[k] for k in allowed if k in d and k not in
-              ("schema", "chiplet_types", "placement", "cooling")}
-    try:
-        return SystemSpec(
-            chiplet_types=chiplet_types,
-            placement=placement,
-            cooling=parse_cooling(d.get("cooling", {})),
-            **kwargs,
-        )
-    except TypeError as e:
-        raise ConfigError(f"system: {e}") from None
-
-
-def parse_model(d: dict[str, Any]) -> ModelSpec:
-    allowed = {"schema", "name", "n_layers", "n_heads", "n_kv_heads", "d_head",
-               "d_model", "d_ffn", "attn_variant", "dtype_bytes"}
-    _check_keys(d, allowed, "model")
-    if d.get("schema") != SCHEMA_VERSION:
-        raise ConfigError(f"model: schema must be {SCHEMA_VERSION}")
-    try:
-        variant = AttnVariant(d.get("attn_variant", ""))
-    except ValueError:
-        raise ConfigError(
-            f"model: attn_variant must be one of {[v.value for v in AttnVariant]}") from None
-    kwargs = {k: d[k] for k in allowed if k in d and k not in ("schema", "attn_variant")}
-    try:
-        return ModelSpec(attn_variant=variant, **kwargs)
-    except TypeError as e:
-        raise ConfigError(f"model: {e}") from None
+def parse_model(d: Any) -> ModelSpec:
+    return parse_json(ModelSpec, _unversioned(d, "model"), "model")
 
 
 def load_system(path: str) -> SystemSpec:

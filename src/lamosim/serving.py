@@ -110,14 +110,26 @@ def synth_trace(source: str, n: int, rate_rps: float, seed: int,
     )
 
 
+_TRACE_COLUMNS = {"rid": int, "arrival_s": float, "input_len": int, "output_len": int}
+
+
 def load_trace_csv(path: str) -> tuple[Request, ...]:
+    """Requests from a CSV with dump_trace_csv's columns. Raises ValueError
+    naming a missing column, or the line and cells of a bad row."""
     with open(path, newline="") as f:
-        rows = list(csv.DictReader(f))
-    return tuple(
-        Request(rid=int(r["rid"]), arrival_s=float(r["arrival_s"]),
-                input_len=int(r["input_len"]), output_len=int(r["output_len"]))
-        for r in rows
-    )
+        reader = csv.DictReader(f)
+        missing = [c for c in _TRACE_COLUMNS if c not in (reader.fieldnames or ())]
+        if missing:
+            raise ValueError(f"missing columns {missing}")
+        rows = list(reader)
+    trace = []
+    for line, row in enumerate(rows, start=2):
+        try:
+            trace.append(Request(**{c: kind(row[c]) for c, kind in _TRACE_COLUMNS.items()}))
+        except (TypeError, ValueError) as e:  # TypeError: a short row's missing cell
+            cells = ", ".join(f"{c}={row[c]}" for c in _TRACE_COLUMNS)
+            raise ValueError(f"line {line} ({cells}): {e}") from None
+    return tuple(trace)
 
 
 def dump_trace_csv(trace: tuple[Request, ...], path: str) -> None:

@@ -307,3 +307,83 @@ def test_dse_chiplet_bad_domain_exit2(tmp_path, capsys, domain, message):
                  "--out", str(tmp_path / "x")])
     assert code == 2
     assert message in capsys.readouterr().err
+
+
+# --- bad inputs -------------------------------------------------------------------
+
+INPUT = "INPUT"  # stands for the path of the row's input file
+SIM_INPUT_SYSTEM = ["simulate", "--system", INPUT, "--model", "model_tiny.json",
+                    "--trace", "code:n=2"]
+SIM_INPUT_MODEL = ["simulate", "--system", "system_small.json", "--model", INPUT,
+                   "--trace", "code:n=2"]
+SIM_SMALL = ["simulate", *SMALL, "--trace", "code:n=2"]
+DSE_SYSTEM = ["dse", "--level", "system", *SMALL, "--trace", "code:n=2", "--jobs", "1"]
+DSE_CHIPLET = ["dse", "--level", "chiplet", "--base", "system_small.json", "--type", "pc"]
+TRACE_HEADER = "rid,arrival_s,input_len,output_len\n"
+
+
+def edited(name: str, keys: tuple, value) -> str:
+    """JSON text of a packaged config with the field at key path `keys` set to `value`."""
+    root = node = json.loads((CONFIGS / name).read_text())
+    for k in keys[:-1]:
+        node = node[k]
+    node[keys[-1]] = value
+    return json.dumps(root)
+
+
+def plan_text(prefill: dict) -> str:
+    return json.dumps({"prefill": prefill, "decode": {"tp": 2, "pp": 1}})
+
+
+# (argv, content of the INPUT file or None, text that stderr must contain)
+BAD_INPUTS = {
+    "pe_n_core_fraction": (SIM_INPUT_SYSTEM, edited(
+        "system_small.json", ("chiplet_types", "pc", "pe", "n_core"), 2.5), "pe.n_core"),
+    "edge_hops_fraction": (SIM_INPUT_SYSTEM, edited(
+        "system_small.json", ("edge_hops",), 1.5), "edge_hops"),
+    "placement_at_fraction": (SIM_INPUT_SYSTEM, edited(
+        "system_small.json", ("placement", 0, "at"), [0.5, 0]), "placement[0].at"),
+    "pe_rows_fraction": (SIM_INPUT_SYSTEM, edited(
+        "system_small.json", ("chiplet_types", "pc", "pe_rows"), 2.5), "pe_rows"),
+    "dtype_bytes_bool": (SIM_INPUT_MODEL, edited(
+        "model_tiny.json", ("dtype_bytes",), True), "dtype_bytes"),
+    "n_layers_fraction": (SIM_INPUT_MODEL, edited(
+        "model_tiny.json", ("n_layers",), 2.5), "n_layers"),
+    "schema_bool": (SIM_INPUT_MODEL, edited("model_tiny.json", ("schema",), True), "schema"),
+    "plan_tp_fraction": ([*SIM_SMALL, "--plan", INPUT],
+                         plan_text({"tp": 2.5, "pp": 1}), "prefill.tp"),
+    "plan_tp_zero": ([*SIM_SMALL, "--plan", INPUT], plan_text({"tp": 0, "pp": 1}), "tp"),
+    "plan_unknown_key": ([*SIM_SMALL, "--plan", INPUT],
+                         plan_text({"tp": 2, "pp": 1, "ep": 2}), "['ep']"),
+    "domain_fraction": ([*DSE_CHIPLET, "--budget", "4", "--domain", INPUT],
+                        json.dumps({"n_core": [1.5]}), "n_core"),
+    "trace_missing_column": (["simulate", *SMALL, "--trace", INPUT],
+                             "rid,arrival_s,input_len\n0,0.0,5\n", "output_len"),
+    "trace_input_len_fraction": (["simulate", *SMALL, "--trace", INPUT],
+                                 TRACE_HEADER + "0,0.0,2.5,3\n", "input_len=2.5"),
+    "trace_input_len_zero": (["simulate", *SMALL, "--trace", INPUT],
+                             TRACE_HEADER + "0,0.0,0,3\n", "input_len"),
+    "trace_spec_mean_fraction": (["simulate", *SMALL, "--trace",
+                                  "custom:n=2:mean_in=8.5:mean_out=4"], None, "mean_in"),
+    "counts_zero": ([*DSE_SYSTEM, "--budget", "3", "--counts", "0,1"], None, "--counts"),
+    "system_budget_one": ([*DSE_SYSTEM, "--budget", "1"], None, "--budget"),
+    "chiplet_budget_zero": ([*DSE_CHIPLET, "--budget", "0"], None, "--budget"),
+    "max_decode_batch_zero": ([*SIM_SMALL, "--max-decode-batch", "0"], None,
+                              "--max-decode-batch"),
+    "eps_negative": ([*DSE_CHIPLET, "--budget", "4", "--eps", "-1"], None, "--eps"),
+    "wave_zero": ([*DSE_SYSTEM, "--budget", "3", "--wave", "0"], None, "--wave"),
+}
+
+
+@pytest.mark.parametrize("argv,content,named", BAD_INPUTS.values(), ids=BAD_INPUTS.keys())
+def test_bad_input_exit2_names_field(tmp_path, capsys, argv, content, named):
+    path = tmp_path / "input"
+    if content is not None:
+        path.write_text(content)
+    argv = [str(path) if a == INPUT else a for a in argv] + ["--out", str(tmp_path / "x")]
+    try:
+        code = main(argv)
+    except SystemExit as e:  # argparse rejects a flag value before main runs a command
+        code = e.code
+    assert code == 2
+    assert named in capsys.readouterr().err

@@ -34,14 +34,14 @@ def brute_front(points):
 def test_pareto_front_matches_brute_force():
     rng = random.Random(5)
     pts = [tuple(rng.randint(1, 9) for _ in range(3)) for _ in range(60)]
-    got = dse.pareto_front(pts, key=lambda p: p)
+    got = dse.epsilon_retained(pts, key=lambda p: p, eps=0.0)
     assert sorted(got) == sorted(brute_front(pts))
 
 
 def test_epsilon_retained_superset_of_front():
     rng = random.Random(6)
     pts = [tuple(rng.uniform(1.0, 9.0) for _ in range(3)) for _ in range(40)]
-    front = dse.pareto_front(pts, key=lambda p: p)
+    front = dse.epsilon_retained(pts, key=lambda p: p, eps=0.0)
     near = dse.epsilon_retained(pts, key=lambda p: p, eps=0.05)
     assert set(front) <= set(near)
 
@@ -59,7 +59,7 @@ def test_epsilon_margin_by_hand():
 def test_ties_never_eliminate_each_other():
     pts = [(1.0, 1.0), (1.0, 1.0)]
     assert dse.epsilon_retained(pts, key=lambda p: p, eps=0.05) == pts
-    assert dse.pareto_front(pts, key=lambda p: p) == pts
+    assert dse.epsilon_retained(pts, key=lambda p: p, eps=0.0) == pts
 
 
 # --- sampling -----------------------------------------------------------------

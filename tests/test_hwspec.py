@@ -198,3 +198,13 @@ def test_duplicate_placement_rejected():
     d["placement"].append(dict(d["placement"][0]))
     with pytest.raises(ConfigError):
         parse_system(d)
+
+
+def test_integer_valued_float_reads_as_int():
+    d = packaged("system_small.json")
+    d["chiplet_types"]["pc"]["pe_rows"] = 2.0
+    d["chiplet_types"]["pc"]["clock_hz"] = 1_000_000_000  # a float field keeps an int as given
+    spec = parse_system(d)
+    assert spec == parse_system(packaged("system_small.json"))
+    assert type(spec.chiplet_types["pc"].pe_rows) is int
+    assert type(spec.chiplet_types["pc"].clock_hz) is int
