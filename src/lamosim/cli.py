@@ -462,9 +462,10 @@ def cmd_dse_chiplet(args) -> int:
         if unknown:
             raise UsageError(f"{args.domain}: unknown domain axes {unknown} "
                              f"(axes: {sorted(DEFAULT_CHIPLET_DOMAIN)})")
-        empty = [k for k, v in axes.items() if not v]
-        if empty:
-            raise UsageError(f"{args.domain}: axes must be non-empty lists: {empty}")
+        bad = [k for k, v in axes.items() if not v or min(v) < 1]
+        if bad:
+            raise UsageError(f"{args.domain}: axes must be non-empty lists of "
+                             f"counts and sizes >= 1: {bad}")
         domain.update(axes)
     res = chiplet_dse(base, args.budget, args.seed, domain=domain, eps=args.eps)
     out = OutDir(args.out)
@@ -636,7 +637,7 @@ def _add_batching_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--len-bucket", type=_at_least(int, 1), default=64)
     p.add_argument("--static-batching", action="store_true",
                    help="disable continuous batching")
-    p.add_argument("--kv-budget-mb", type=float, default=None,
+    p.add_argument("--kv-budget-mb", type=_at_least(float, 0.0), default=None,
                    help="decode KV budget; default: the placement's headroom")
 
 
@@ -718,7 +719,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--wave", type=_at_least(int, 1), default=8,
                    help="proposals per annealing wave")
     p.add_argument("--temp-c", type=float, default=65.0)
-    p.add_argument("--jobs", type=int, default=None,
+    p.add_argument("--jobs", type=_at_least(int, 1), default=None,
                    help="worker processes; default: available cores")
     _add_batching_flags(p)
     p.set_defaults(func=cmd_dse)

@@ -11,10 +11,12 @@ to `exact_limit` PEs (greedy box-tiling incumbent, per-group span lower
 bounds, reversal symmetry break; with w_inter == 0 full label symmetry is
 broken instead by pinning the lowest PE into the first group). Larger pools
 fall back to the greedy tiler plus pairwise-swap refinement and report
-proven_optimal=False. `cached_tp_group` memoizes the default-weight grouping
-process-wide per (pool coordinates in order, tp): `dse` ranks each (tp, pp)
-shape on the same grouping that `build_pd_plan` then places stages on, so a
-plan search groups each (pool, tp) once.
+proven_optimal=False; refinement scores each trial swap on the two groups it
+touches, their boxes and the chain edges at them. `cached_tp_group`
+memoizes the default-weight grouping process-wide per (pool coordinates in
+order, tp): `dse` ranks each (tp, pp) shape on the same grouping that
+`build_pd_plan` then places stages on, so a plan search groups each
+(pool, tp) once.
 
 Stage placement assigns pipeline stages to groups by simulated annealing over
 swap/move neighborhoods (geometric cooling, never worse than its greedy
@@ -126,24 +128,92 @@ def _greedy_groups(coords: list[Coord], tp: int, k: int) -> list[tuple[int, ...]
     return [groups[gi] for gi in chain]
 
 
+def _extremes(pts: list[Coord]) -> tuple[float, ...]:
+    """Two smallest and two largest x, then the same for y, of one group.
+
+    Without one member at an extreme the second value is the extreme, so a
+    group's box without any one member follows in O(1). A single point pads
+    the second values with infinities: the rest of its group is empty.
+    """
+    out: list[float] = []
+    for vals in (sorted(p[0] for p in pts), sorted(p[1] for p in pts)):
+        if len(vals) > 1:
+            out += (vals[0], vals[1], vals[-1], vals[-2])
+        else:
+            out += (vals[0], math.inf, vals[0], -math.inf)
+    return tuple(out)
+
+
+def _moved(e: tuple[float, ...], x: int, y: int, nx: int, ny: int) -> tuple:
+    """(span, doubled center x, doubled center y) of the group with extremes
+    `e` after its member (x, y) leaves and (nx, ny) joins."""
+    x1, x2, hx1, hx2, y1, y2, hy1, hy2 = e
+    lo_x = x2 if x == x1 else x1
+    hi_x = hx2 if x == hx1 else hx1
+    lo_y = y2 if y == y1 else y1
+    hi_y = hy2 if y == hy1 else hy1
+    lo_x = nx if nx < lo_x else lo_x
+    hi_x = nx if nx > hi_x else hi_x
+    lo_y = ny if ny < lo_y else lo_y
+    hi_y = ny if ny > hi_y else hi_y
+    return hi_x - lo_x + hi_y - lo_y, lo_x + hi_x, lo_y + hi_y
+
+
+def _edges2(a: tuple, b: tuple, near_a: list[tuple], near_b: list[tuple],
+            adjacent: bool) -> int:
+    """Doubled center distance summed over the chain edges at two groups with
+    boxes a and b, given their other chain neighbors' boxes."""
+    total = abs(a[1] - b[1]) + abs(a[2] - b[2]) if adjacent else 0
+    for _, cx, cy in near_a:
+        total += abs(a[1] - cx) + abs(a[2] - cy)
+    for _, cx, cy in near_b:
+        total += abs(b[1] - cx) + abs(b[2] - cy)
+    return total
+
+
 def _swap_refine(coords: list[Coord], groups: list[tuple[int, ...]],
                  w_inter: float, max_rounds: int = 20) -> list[tuple[int, ...]]:
-    """First-improvement pairwise member swaps until a local optimum."""
+    """First-improvement pairwise member swaps until a local optimum.
+
+    A swap moves only the two touched groups' boxes and the chain edges at
+    those groups, so each trial is scored on them alone: every group keeps its
+    span, its doubled box center (integers) and its `_extremes`. At w_inter 0
+    and 0.5 every term is a multiple of 0.25 and exact in float64, so each
+    accept matches a rescoring of the whole grouping with
+    `grouping_objective`.
+    """
     groups = [list(g) for g in groups]
+    k = len(groups)
+    half = w_inter / 2
+    ext = [_extremes([coords[i] for i in g]) for g in groups]
+    # Per group: span, doubled center x, doubled center y.
+    box = [(e[2] - e[0] + e[6] - e[4], e[0] + e[2], e[4] + e[6]) for e in ext]
+
     for _ in range(max_rounds):
         improved = False
-        base = grouping_objective(coords, [tuple(sorted(g)) for g in groups], w_inter)
-        for ka, kb in itertools.combinations(range(len(groups)), 2):
-            for ia in range(len(groups[ka])):
-                for ib in range(len(groups[kb])):
-                    groups[ka][ia], groups[kb][ib] = groups[kb][ib], groups[ka][ia]
-                    trial = grouping_objective(
-                        coords, [tuple(sorted(g)) for g in groups], w_inter)
-                    if trial < base - 1e-12:
-                        base = trial
+        for ka, kb in itertools.combinations(range(k), 2):
+            ga, gb = groups[ka], groups[kb]
+            # Chain neighbors outside the pair; an adjacent pair shares one edge.
+            near_a = [box[j] for j in (ka - 1, ka + 1) if 0 <= j < k and j != kb]
+            near_b = [box[j] for j in (kb - 1, kb + 1) if j < k and j != ka]
+            adjacent = kb == ka + 1
+            span = box[ka][0] + box[kb][0]
+            edge2 = _edges2(box[ka], box[kb], near_a, near_b, adjacent)
+            for ia in range(len(ga)):
+                ax, ay = coords[ga[ia]]
+                for ib in range(len(gb)):
+                    bx, by = coords[gb[ib]]
+                    new_a = _moved(ext[ka], ax, ay, bx, by)
+                    new_b = _moved(ext[kb], bx, by, ax, ay)
+                    new_edge2 = _edges2(new_a, new_b, near_a, near_b, adjacent)
+                    if new_a[0] + new_b[0] - span + half * (new_edge2 - edge2) < -1e-12:
+                        ga[ia], gb[ib] = gb[ib], ga[ia]
+                        ext[ka] = _extremes([coords[i] for i in ga])
+                        ext[kb] = _extremes([coords[i] for i in gb])
+                        box[ka], box[kb] = new_a, new_b
+                        span, edge2 = new_a[0] + new_b[0], new_edge2
+                        ax, ay = bx, by
                         improved = True
-                    else:
-                        groups[ka][ia], groups[kb][ib] = groups[kb][ib], groups[ka][ia]
         if not improved:
             break
     return [tuple(sorted(g)) for g in groups]

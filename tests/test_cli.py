@@ -372,6 +372,11 @@ BAD_INPUTS = {
                               "--max-decode-batch"),
     "eps_negative": ([*DSE_CHIPLET, "--budget", "4", "--eps", "-1"], None, "--eps"),
     "wave_zero": ([*DSE_SYSTEM, "--budget", "3", "--wave", "0"], None, "--wave"),
+    "kv_budget_negative": ([*SIM_SMALL, "--kv-budget-mb", "-1"], None, "--kv-budget-mb"),
+    "jobs_zero": ([*DSE_SYSTEM, "--budget", "3", "--jobs", "0"], None, "--jobs"),
+    "jobs_negative": ([*DSE_SYSTEM, "--budget", "3", "--jobs", "-1"], None, "--jobs"),
+    "domain_zero": ([*DSE_CHIPLET, "--budget", "4", "--domain", INPUT],
+                    json.dumps({"n_pe": [0]}), "n_pe"),
 }
 
 

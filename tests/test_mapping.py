@@ -3,22 +3,28 @@
 The grouping oracle enumerates every ordered chain of tp-sized groups over the
 pool (spares implicit) and scores it with its own span/center arithmetic; the
 placement oracle enumerates every injective stage->group assignment and scores
-it with independently recomputed collective and transfer costs.
+it with independently recomputed collective and transfer costs. Swap
+refinement is checked against `_swap_refine` below, which rescores the whole
+grouping with `grouping_objective` for every trial swap.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import random
+from pathlib import Path
 
 import pytest
 
 from conftest import make_chiplet, make_model, make_system
+import lamosim
 from lamosim import mapping, ops
 from lamosim.comm import allreduce_cost, link_delay, manhattan
-from lamosim.hwspec import Role
+from lamosim.hwspec import Role, load_system
 from lamosim.mapping import (
     CapacityExceeded,
+    Coord,
     EmptyGroup,
     TooManyStages,
     build_pd_plan,
@@ -142,6 +148,75 @@ def test_cached_grouping_equals_fresh(pe_side, tp, monkeypatch):
     assert got == tp_group([flat_xy(m, spec) for m in pool], tp)
     assert got.proven_optimal is (len(pool) <= 10)
     assert cached_tp_group(pool, tp, spec) is got
+
+
+def _swap_refine(coords: list[Coord], groups: list[tuple[int, ...]],
+                 w_inter: float, max_rounds: int = 20) -> list[tuple[int, ...]]:
+    """First-improvement pairwise member swaps until a local optimum."""
+    groups = [list(g) for g in groups]
+    for _ in range(max_rounds):
+        improved = False
+        base = grouping_objective(coords, [tuple(sorted(g)) for g in groups], w_inter)
+        for ka, kb in itertools.combinations(range(len(groups)), 2):
+            for ia in range(len(groups[ka])):
+                for ib in range(len(groups[kb])):
+                    groups[ka][ia], groups[kb][ib] = groups[kb][ib], groups[ka][ia]
+                    trial = grouping_objective(
+                        coords, [tuple(sorted(g)) for g in groups], w_inter)
+                    if trial < base - 1e-12:
+                        base = trial
+                        improved = True
+                    else:
+                        groups[ka][ia], groups[kb][ib] = groups[kb][ib], groups[ka][ia]
+        if not improved:
+            break
+    return [tuple(sorted(g)) for g in groups]
+
+
+def random_pool(seed: int) -> list[Coord]:
+    """11 to 40 distinct cells of a random rectangle, in random order: an
+    irregular pool with holes."""
+    rng = random.Random(seed)
+    width, height = rng.randint(4, 9), rng.randint(3, 8)
+    cells = [(x, y) for y in range(height) for x in range(width)]
+    return rng.sample(cells, rng.randint(11, min(40, len(cells))))
+
+
+@pytest.mark.parametrize("seed", [2, 6, 3])  # pools of 11, 18 and 28 PEs
+def test_swap_refine_matches_full_rescoring(seed):
+    """Scoring each trial swap on the two groups it touches accepts exactly
+    the swaps that rescoring the whole grouping accepts, from greedy and from
+    shuffled starts."""
+    pool = random_pool(seed)
+    rng = random.Random(seed)
+    for tp in range(1, len(pool) + 1):
+        k = len(pool) // tp
+        shuffled = rng.sample(range(len(pool)), len(pool))
+        starts = (mapping._greedy_groups(pool, tp, k),
+                  [tuple(shuffled[j * tp:(j + 1) * tp]) for j in range(k)])
+        for start, w_inter in itertools.product(starts, (0.0, 0.5)):
+            assert mapping._swap_refine(pool, start, w_inter) == \
+                _swap_refine(pool, start, w_inter), (tp, w_inter)
+
+
+@pytest.mark.parametrize("role,tp", [(Role.PREFILL, 8), (Role.DECODE, 16)])
+def test_reference_grouping_matches_full_rescoring(role, tp, monkeypatch):
+    """system_ref's 80-PE prefill and 128-PE decode pools: tp_group scores its
+    grouping once, after refinement, and equals the full-rescoring oracle."""
+    spec = load_system(str(Path(lamosim.__file__).parent / "configs" / "system_ref.json"))
+    pool = [flat_xy(m, spec) for m in pool_pe_coords(spec, role)]
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return grouping_objective(*args)
+
+    monkeypatch.setattr(mapping, "grouping_objective", counted)
+    got = tp_group(pool, tp)
+    assert len(calls) == 1
+    want = _swap_refine(pool, mapping._greedy_groups(pool, tp, len(pool) // tp), 0.5)
+    assert got.groups == tuple(want)
+    assert got.objective == grouping_objective(pool, want, 0.5)
 
 
 # --- stage placement ----------------------------------------------------------
