@@ -446,11 +446,11 @@ def evaluate_design(point: DesignPoint, *, pc_candidates: Sequence[ChipletSpec],
     except SystemValidationError as e:
         return rejected(sorted({v.kind for v in e.violations}))
     try:
-        choice = search_plan(spec, model, temp_c=temp_c, seed=seed)
+        choice = search_plan(spec, model, kv_budget_decode_bytes=cfg.kv_budget_bytes,
+                             temp_c=temp_c, seed=seed)
     except (CapacityExceeded, EmptyGroup, TooManyStages) as e:
         return rejected([type(e).__name__])
-    run_cfg = cfg if cfg.kv_budget_bytes is not None else \
-        replace(cfg, kv_budget_bytes=choice.kv_budget_bytes)
+    run_cfg = replace(cfg, kv_budget_bytes=choice.kv_budget_bytes)
     try:
         metrics, thermal = coupled_serve(spec, model, choice.plan, trace,
                                          run_cfg, start_temp_c=temp_c)

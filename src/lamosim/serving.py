@@ -31,7 +31,7 @@ import heapq
 import itertools
 import math
 from collections import defaultdict, deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Mapping
 
 import numpy as np
@@ -259,27 +259,19 @@ class _StageCost:
 
 @dataclass
 class _ReqState:
+    """One request's progress. Prefill is done once ttft is set; the request
+    is done once, in addition, no token is left."""
+
     req: Request
     ttft: float | None = None
-    first_tok: float | None = None
     last_tok: float | None = None
-    gaps: list[float] = field(default_factory=list)
+    gap_sum: float = 0.0  # decode gaps, added in token order
     ctx: int = 0
     left: int = 0
     in_flight: bool = False
-    prefill_done: bool = False
     outstanding_kv: int = 0
     ready_time: float = 0.0
     admit_time: float = 0.0
-    done: bool = False
-
-
-class _StagePipe:
-    """Busy flags plus inter-stage queues for one phase's pipeline."""
-
-    def __init__(self, n_stages: int):
-        self.busy = [False] * n_stages
-        self.queues: list[deque] = [deque() for _ in range(n_stages)]
 
 
 def _bucket(x: int, b: int) -> int:
@@ -294,7 +286,8 @@ def _chips_temp(chips: set[tuple[int, int]],
 
 
 class _PhaseCtx:
-    """Static per-phase facts: stage members, centers, temps, chiplet."""
+    """One phase's pipeline: its stages' members, centers, temps and chiplet,
+    plus each stage's busy flag and queue of batches waiting for it."""
 
     def __init__(self, spec: SystemSpec, model: ModelSpec, plan: PhasePlan,
                  temps: float | Mapping[tuple[int, int], float]):
@@ -312,6 +305,8 @@ class _PhaseCtx:
             manhattan(self.centers[s], self.centers[s + 1], spec)
             for s in range(len(self.centers) - 1)
         ]
+        self.busy = [False] * plan.pp
+        self.queues: list[deque] = [deque() for _ in range(plan.pp)]
 
 
 class _Sim:
@@ -340,8 +335,6 @@ class _Sim:
         self.now = 0.0
         self._seq = itertools.count()
         self._ev: list[tuple[float, int, Callable[[], None]]] = []
-        self.pre_pipe = _StagePipe(plan.prefill.pp)
-        self.dec_pipe = _StagePipe(plan.decode.pp)
         self.pre_q: deque[_ReqState] = deque()
         self.pool: list[_ReqState] = []
         self.kv_wait_q: deque[tuple[_ReqState, int]] = deque()
@@ -447,7 +440,7 @@ class _Sim:
         self._try_prefill_admit()
 
     def _try_prefill_admit(self) -> None:
-        if self.pre_pipe.busy[0] or not self.pre_q:
+        if self.pre.busy[0] or not self.pre_q:
             return
         job = [self.pre_q.popleft()
                for _ in range(min(self.cfg.max_prefill_batch, len(self.pre_q)))]
@@ -460,7 +453,7 @@ class _Sim:
             for st in job))
 
     def _start_prefill_stage(self, s: int, job: list[_ReqState]) -> None:
-        self.pre_pipe.busy[s] = True
+        self.pre.busy[s] = True
         cost = self._stage_cost(self.pre, ops.Phase.PREFILL, s,
                                 self._prefill_batch_key(job))
         self._run_stage(self.pre, s, cost)
@@ -469,8 +462,8 @@ class _Sim:
                 lambda: self._end_prefill_stage(s, job))
 
     def _end_prefill_stage(self, s: int, job: list[_ReqState]) -> None:
-        self.pre_pipe.busy[s] = False
-        if s + 1 < len(self.pre_pipe.busy):
+        self.pre.busy[s] = False
+        if s + 1 < self.pre.plan.pp:
             act = sum(st.req.input_len for st in job) \
                 * self.model.d_model * self.model.dtype_bytes
             delay = self._handoff(self.pre, s, act)
@@ -479,23 +472,20 @@ class _Sim:
             self._finish_prefill(job)
         if s == 0:
             self._try_prefill_admit()
-        elif self.pre_pipe.queues[s]:
-            self._start_prefill_stage(s, self.pre_pipe.queues[s].popleft())
+        elif self.pre.queues[s]:
+            self._start_prefill_stage(s, self.pre.queues[s].popleft())
 
     def _enqueue_prefill(self, s: int, job: list[_ReqState]) -> None:
-        if self.pre_pipe.busy[s]:
-            self.pre_pipe.queues[s].append(job)
+        if self.pre.busy[s]:
+            self.pre.queues[s].append(job)
         else:
             self._start_prefill_stage(s, job)
 
     def _finish_prefill(self, job: list[_ReqState]) -> None:
         for st in job:
             st.ttft = self.now - st.req.arrival_s
-            st.first_tok = st.last_tok = self.now
-            st.prefill_done = True
-            if st.req.output_len == 1:
-                st.done = True
-            elif st.outstanding_kv == 0:
+            st.last_tok = self.now
+            if st.req.output_len > 1 and st.outstanding_kv == 0:
                 self._mark_ready(st)
 
     def _schedule_kv_sends(self, s: int, job: list[_ReqState],
@@ -529,7 +519,7 @@ class _Sim:
 
     def _kv_arrived(self, st: _ReqState) -> None:
         st.outstanding_kv -= 1
-        if st.outstanding_kv == 0 and st.prefill_done and not st.done:
+        if st.outstanding_kv == 0 and st.ttft is not None:
             self._mark_ready(st)
 
     # -- decode --
@@ -561,11 +551,11 @@ class _Sim:
             if self.static_batch is None and self.pool:
                 self.static_batch = self.pool[:self.cfg.max_decode_batch]
             src = self.static_batch or []
-        out = [st for st in src if not st.in_flight and not st.done and st.left > 0]
+        out = [st for st in src if not st.in_flight and st.left > 0]
         return out[:self.cfg.max_decode_batch]
 
     def _try_decode_start(self) -> None:
-        if self.dec_pipe.busy[0]:
+        if self.dec.busy[0]:
             return
         if not self.cfg.continuous_batching and self.dec_beats_active > 0:
             return
@@ -575,52 +565,52 @@ class _Sim:
         for st in beat:
             st.in_flight = True
         self.dec_beats_active += 1
-        self._start_decode_stage(0, beat)
-
-    def _decode_batch_key(self, beat: list[_ReqState]) -> tuple[tuple[int, int], ...]:
+        # in-flight contexts stay fixed, so the beat's key holds for every stage
         b = self.cfg.len_bucket
-        return tuple(sorted((1, _bucket(st.ctx, b)) for st in beat))
+        key = tuple(sorted((1, _bucket(st.ctx, b)) for st in beat))
+        self._start_decode_stage(0, beat, key)
 
-    def _start_decode_stage(self, s: int, beat: list[_ReqState]) -> None:
-        self.dec_pipe.busy[s] = True
-        cost = self._stage_cost(self.dec, ops.Phase.DECODE, s,
-                                self._decode_batch_key(beat))
+    def _start_decode_stage(self, s: int, beat: list[_ReqState],
+                            key: tuple[tuple[int, int], ...]) -> None:
+        self.dec.busy[s] = True
+        cost = self._stage_cost(self.dec, ops.Phase.DECODE, s, key)
         self._run_stage(self.dec, s, cost)
         self.at(self.now + cost.duration_s,
-                lambda: self._end_decode_stage(s, beat))
+                lambda: self._end_decode_stage(s, beat, key))
 
-    def _end_decode_stage(self, s: int, beat: list[_ReqState]) -> None:
-        self.dec_pipe.busy[s] = False
-        if s + 1 < len(self.dec_pipe.busy):
+    def _end_decode_stage(self, s: int, beat: list[_ReqState],
+                          key: tuple[tuple[int, int], ...]) -> None:
+        self.dec.busy[s] = False
+        if s + 1 < self.dec.plan.pp:
             act = len(beat) * self.model.d_model * self.model.dtype_bytes
             delay = self._handoff(self.dec, s, act)
-            self.at(self.now + delay, lambda: self._enqueue_decode(s + 1, beat))
+            self.at(self.now + delay, lambda: self._enqueue_decode(s + 1, beat, key))
         else:
             self._finish_beat(beat)
-        if self.dec_pipe.queues[s]:
-            self._start_decode_stage(s, self.dec_pipe.queues[s].popleft())
+        if self.dec.queues[s]:
+            self._start_decode_stage(s, *self.dec.queues[s].popleft())
         else:
             self._try_decode_start()
 
-    def _enqueue_decode(self, s: int, beat: list[_ReqState]) -> None:
-        if self.dec_pipe.busy[s]:
-            self.dec_pipe.queues[s].append(beat)
+    def _enqueue_decode(self, s: int, beat: list[_ReqState],
+                        key: tuple[tuple[int, int], ...]) -> None:
+        if self.dec.busy[s]:
+            self.dec.queues[s].append((beat, key))
         else:
-            self._start_decode_stage(s, beat)
+            self._start_decode_stage(s, beat, key)
 
     def _finish_beat(self, beat: list[_ReqState]) -> None:
         self.dec_beats_active -= 1
         for st in beat:
-            st.gaps.append(self.now - st.last_tok)
+            st.gap_sum += self.now - st.last_tok
             st.last_tok = self.now
             st.left -= 1
             st.ctx += 1
             st.in_flight = False
             if st.left == 0:
-                st.done = True
                 self._retire(st)
         if self.static_batch is not None and all(
-                st.done for st in self.static_batch):
+                st.left == 0 for st in self.static_batch):
             self.static_batch = None
         self._try_decode_start()
 
@@ -640,16 +630,17 @@ class _Sim:
     # -- results --
 
     def metrics(self, spec: SystemSpec) -> ServingMetrics:
-        unfinished = [st.req.rid for st in self.states if not st.done]
+        unfinished = [st.req.rid for st in self.states
+                      if st.ttft is None or st.left > 0]
         if unfinished:
             raise PlanMismatch(f"requests never completed: {unfinished[:5]}")
         reqs = []
         for st in self.states:
-            gaps = sum(st.gaps)
-            tbt = gaps / len(st.gaps) if st.gaps else 0.0
+            n_gaps = st.req.output_len - 1
             reqs.append(RequestMetrics(
                 rid=st.req.rid, arrival_s=st.req.arrival_s, ttft_s=st.ttft,
-                tbt_mean_s=tbt, e2e_s=st.ttft + gaps,
+                tbt_mean_s=st.gap_sum / n_gaps if n_gaps else 0.0,
+                e2e_s=st.ttft + st.gap_sum,
                 out_tokens=st.req.output_len,
                 kv_wait_s=(st.admit_time - st.ready_time
                            if st.req.output_len > 1 else 0.0)))

@@ -29,6 +29,10 @@ from .hwspec import FlowLevel, SystemSpec
 LEAK_SLOPE_PER_C = 0.005
 LEAK_REF_C = 65.0
 MAX_COUPLING_ROUNDS = 8
+# power/temperature fixed point: relaxation step, settling tolerance, cap
+RELAX = 0.5
+TOL_C = 0.5
+MAX_ITERS = 20
 
 Chip = tuple[int, int]
 
@@ -39,7 +43,7 @@ class SingularNetwork(Exception):
 
 class NonConvergence(Exception):
     """A fixed point failed to settle: the power/temperature solve within
-    max_iters, or the serving/thermal coupling within MAX_COUPLING_ROUNDS."""
+    MAX_ITERS, or the serving/thermal coupling within MAX_COUPLING_ROUNDS."""
 
 
 @dataclass(frozen=True)
@@ -179,40 +183,35 @@ def solve_steady(spec: SystemSpec, powers: Mapping[Chip, ChipPower],
     return logic, {c: tuple(v) for c, v in dram.items()}
 
 
-def _fixed_point(spec: SystemSpec, dyn: Mapping[Chip, ChipPower], flow: FlowLevel,
-                 relax: float, tol_c: float,
-                 max_iters: int) -> tuple[dict[Chip, float], dict[Chip, tuple[float, ...]], int]:
-    if max_iters < 1:
-        raise ValueError("max_iters must be >= 1")
+def _fixed_point(spec: SystemSpec, dyn: Mapping[Chip, ChipPower],
+                 flow: FlowLevel) -> tuple[dict[Chip, float], dict[Chip, tuple[float, ...]], int]:
     amb = spec.cooling.ambient_c
     logic = {chip: amb for chip in spec.placement}
     dram = {chip: (amb,) * spec.chiplet_at(chip).dram.n_layer
             for chip in spec.placement}
-    for it in range(1, max_iters + 1):
+    for it in range(1, MAX_ITERS + 1):
         p = _temperature_power(spec, dyn, logic, dram)
         new_logic, new_dram = solve_steady(spec, p, flow)
         delta = max(
             max(abs(new_logic[c] - logic[c]) for c in logic),
             max(abs(a - b) for c in dram for a, b in zip(new_dram[c], dram[c])),
         )
-        if delta <= tol_c:
+        if delta <= TOL_C:
             return new_logic, new_dram, it
-        logic = {c: logic[c] + relax * (new_logic[c] - logic[c]) for c in logic}
-        dram = {c: tuple(b + relax * (a - b) for a, b in zip(new_dram[c], dram[c]))
+        logic = {c: logic[c] + RELAX * (new_logic[c] - logic[c]) for c in logic}
+        dram = {c: tuple(b + RELAX * (a - b) for a, b in zip(new_dram[c], dram[c]))
                 for c in dram}
     raise NonConvergence(
-        f"thermal fixed point moved {delta:.2f} C on iteration {max_iters}")
+        f"thermal fixed point moved {delta:.2f} C on iteration {MAX_ITERS}")
 
 
-def equilibrium(spec: SystemSpec, dyn: Mapping[Chip, ChipPower], *,
-                relax: float = 0.5, tol_c: float = 0.5,
-                max_iters: int = 20) -> ThermalResult:
+def equilibrium(spec: SystemSpec, dyn: Mapping[Chip, ChipPower]) -> ThermalResult:
     """Converged temperatures at the lowest flow level that respects the
     temperature limit; the highest level is returned flagged over_limit when
     even it cannot."""
     last: ThermalResult | None = None
     for li, flow in enumerate(spec.cooling.flow_levels):
-        logic, dram, iters = _fixed_point(spec, dyn, flow, relax, tol_c, max_iters)
+        logic, dram, iters = _fixed_point(spec, dyn, flow)
         t_max = max(max(logic.values()),
                     max(max(v) for v in dram.values()))
         last = ThermalResult(

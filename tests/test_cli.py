@@ -281,6 +281,15 @@ def test_dse_system_infeasible_slo_exit3(tmp_path, capsys):
     assert (out / "manifest.json").exists()
 
 
+def test_dse_system_kv_budget_beyond_slice_exit3(tmp_path, capsys):
+    out = tmp_path / "dse"
+    code = main(dse_system_args(out, "--jobs", "1", "--kv-budget-mb", "10000000"))
+    assert code == 3
+    assert "CapacityExceeded" in capsys.readouterr().err
+    report = json.loads((out / "report.json").read_text())
+    assert report["histogram"] == {"CapacityExceeded": 2}
+
+
 def test_dse_bad_counts_exit2(tmp_path, capsys):
     code = main(dse_system_args(tmp_path / "x", "--counts", "nope"))
     assert code == 2

@@ -12,7 +12,7 @@ from conftest import make_chiplet, make_dram, make_model, make_system
 from lamosim import dse, mapping, ops
 from lamosim.hwspec import ConfigError, Role, derive_chiplet_metrics
 from lamosim.mapping import CapacityExceeded
-from lamosim.serving import synth_trace
+from lamosim.serving import SimConfig, synth_trace
 
 
 # --- Pareto utilities ---------------------------------------------------------
@@ -302,6 +302,17 @@ def test_evaluate_design_slo_violation():
         pc_candidates=pcs, dc_candidates=dcs, template=make_system(),
         model=make_model(), trace=_trace(), slo=dse.Slo(ttft_p95_s=1e-15))
     assert not ev.feasible and "TtftSlo" in ev.violations and ev.simulated
+
+
+def test_evaluate_design_kv_budget_beyond_slice_is_capacity_rejection():
+    pcs, dcs = _candidates()
+    ev = dse.evaluate_design(
+        dse.DesignPoint(pc=0, dc=0, n_pc=2, n_dc=2),
+        pc_candidates=pcs, dc_candidates=dcs, template=make_system(),
+        model=make_model(), trace=_trace(), slo=dse.Slo(),
+        cfg=SimConfig(kv_budget_bytes=1 << 50))
+    assert not ev.feasible and ev.violations == ("CapacityExceeded",)
+    assert not ev.simulated
 
 
 def test_evaluate_design_static_rejection_is_free():

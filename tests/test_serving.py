@@ -146,6 +146,35 @@ def test_e2e_is_ttft_plus_gap_sum(tiny_model, system):
         assert r.ttft_s > 0
 
 
+@pytest.mark.parametrize("continuous", [True, False])
+def test_gap_sums_equal_per_token_gap_log(tiny_model, system, monkeypatch,
+                                          continuous):
+    """Log each request's decode gaps in token order as every beat ends and
+    sum them left to right: tbt_mean_s and e2e_s match the log exactly."""
+    gaps: dict = defaultdict(list)
+    finish_beat = serving._Sim._finish_beat
+
+    def spy(self, beat):
+        for st in beat:
+            gaps[st.req.rid].append(self.now - st.last_tok)
+        finish_beat(self, beat)
+
+    monkeypatch.setattr(serving._Sim, "_finish_beat", spy)
+    plan = _plan(system, tiny_model, tp_prefill=2, tp_decode=2, pp_decode=2)
+    tr = synth_trace("custom", 10, 50.0, seed=3, mean_input=16, mean_output=6)
+    m = simulate(system, tiny_model, plan, tr,
+                 SimConfig(len_bucket=4, continuous_batching=continuous))
+    assert sum(len(g) > 1 for g in gaps.values()) > 1
+    for r in m.requests:
+        g = gaps[r.rid]
+        assert len(g) == r.out_tokens - 1
+        total = 0.0
+        for gap in g:  # not sum(): Python 3.12 compensates float sums
+            total += gap
+        assert r.tbt_mean_s == (total / len(g) if g else 0.0)
+        assert r.e2e_s == r.ttft_s + total
+
+
 def test_output_len_one_never_decodes(tiny_model, system):
     plan = _plan(system, tiny_model)
     reqs = tuple(Request(i, 0.01 * i, 8, 1) for i in range(3))
