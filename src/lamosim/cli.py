@@ -25,7 +25,6 @@ import os
 import sys
 import time
 import traceback
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable
@@ -392,7 +391,9 @@ def cmd_simulate(args) -> int:
     out.add_file("requests.csv")
     dump_trace_csv(trace, str(out.path / "trace.csv"))
     out.add_file("trace.csv")
-    out.finish(args.argv, configs, args.seed, t0)
+    out.finish(args.argv, configs, args.seed, t0, run={
+        "events": metrics.events, "stage_executions": metrics.stage_executions,
+        "coupling_rounds": thermal.rounds if thermal is not None else 0})
 
     s = summary_dict(metrics)
     print(f"simulate: {s['requests']} requests, {s['total_tokens']} tokens, "
@@ -559,6 +560,8 @@ def cmd_dse_system(args) -> int:
 
     try:
         if jobs > 1:
+            # the only pool; importing it here keeps it out of every other command
+            from concurrent.futures import ProcessPoolExecutor
             with ProcessPoolExecutor(max_workers=jobs) as pool:
                 res = run(pool.map)
         else:

@@ -22,6 +22,18 @@ and e2e == ttft + sum of decode gaps by construction.
 Stage executions add their energy into per-chiplet compute and DRAM totals
 for the thermal model; the roofline audit reads the operator records of the
 distinct (memoized) stage costs, so neither grows with the trace's length.
+
+The engine pops (time, sequence, method, arguments) events off a heap, so
+events at equal times run in the order they were scheduled. A prefill job or
+decode beat computes its batch key once, when it forms, and carries that
+key's list of per-stage costs, filled the first time a batch with that key
+reaches each stage. A stage cost is built from per-stage memos of operator
+costs: the projections and all-reduces per batch token count, and each
+request's attention per (new tokens, context). Their latencies and energies
+are added in op order, so the cost equals costing every op of
+ops.layer_ops in turn. Handoff delay and energy are memoized per (stage,
+bytes). A stage execution thus costs work in the group width, not the beat
+size.
 """
 
 from __future__ import annotations
@@ -190,6 +202,9 @@ class ServingMetrics:
     op_records: tuple[OpRecord, ...]  # one layer of each distinct stage cost
     chip_compute_j: dict[tuple[int, int], float]  # dynamic energy per chiplet
     chip_dram_j: dict[tuple[int, int], float]
+    # the engine's work, left out of summary_dict: events run, stage executions
+    events: int
+    stage_executions: int
 
     def ttft_percentile(self, p: float) -> float:
         return _percentile([r.ttft_s for r in self.requests], p)
@@ -253,8 +268,14 @@ class _StageCost:
     qkv_offset_s: float  # into a layer, when its KV pages exist
     shard_compute_j: float  # per member PE, whole stage
     shard_dram_j: float
+    shard_j: float  # shard_compute_j + shard_dram_j
     comm_j: float  # collectives, whole group, whole stage
     records: tuple[OpRecord, ...]  # one layer's ops
+
+
+# One operator group's per-op costs in op order, each (latency, compute J,
+# DRAM J, collective J, is the qkv projection), and its operator records.
+_OpGroup = tuple[tuple[tuple[float, float, float, float, bool], ...], tuple[OpRecord, ...]]
 
 
 @dataclass
@@ -285,20 +306,35 @@ def _chips_temp(chips: set[tuple[int, int]],
     return float(temps)
 
 
+class _Batch:
+    """Requests crossing one phase's pipeline together: a prefill job or a
+    decode beat. Its contexts stay fixed while it is in flight, so its batch
+    key, and the list of that key's stage costs, hold for every stage."""
+
+    __slots__ = ("states", "key", "costs")
+
+    def __init__(self, states: list[_ReqState], key: tuple[tuple[int, int], ...],
+                 costs: list[_StageCost | None]):
+        self.states = states
+        self.key = key
+        self.costs = costs
+
+
 class _PhaseCtx:
     """One phase's pipeline: its stages' members, centers, temps and chiplet,
-    plus each stage's busy flag and queue of batches waiting for it."""
+    each stage's busy flag and queue of batches waiting for it, and the memos
+    of its stage costs, operator groups and activation handoffs."""
 
     def __init__(self, spec: SystemSpec, model: ModelSpec, plan: PhasePlan,
                  temps: float | Mapping[tuple[int, int], float]):
         self.plan = plan
+        self.phase = plan.phase
+        self.pp = plan.pp
         self.members = [list(m) for m in plan.stage_members]
+        self.member_chips = [tuple(m.chip for m in mem) for mem in self.members]
         self.centers = list(plan.stage_centers)
-        chips0 = {m.chip for m in self.members[0]}
-        self.chiplet: ChipletSpec = spec.chiplet_at(next(iter(chips0)))
-        self.stage_temp = [
-            _chips_temp({m.chip for m in mem}, temps) for mem in self.members
-        ]
+        self.chiplet: ChipletSpec = spec.chiplet_at(self.member_chips[0][0])
+        self.stage_temp = [_chips_temp(set(chips), temps) for chips in self.member_chips]
         self.bounds = list(plan.layer_bounds)
         # activation handoff hop counts between consecutive stage centers
         self.hop = [
@@ -306,7 +342,22 @@ class _PhaseCtx:
             for s in range(len(self.centers) - 1)
         ]
         self.busy = [False] * plan.pp
-        self.queues: list[deque] = [deque() for _ in range(plan.pp)]
+        self.queues: list[deque[_Batch]] = [deque() for _ in range(plan.pp)]
+        # batch key -> each stage's cost, filled as a batch reaches the stage
+        self.costs: dict[tuple[tuple[int, int], ...], list[_StageCost | None]] = {}
+        # per stage: token count -> (projections before, after attention)
+        self.proj: list[dict[int, tuple[_OpGroup, _OpGroup]]] = [{} for _ in range(plan.pp)]
+        # per stage: (new tokens, context) -> one request's attention
+        self.attn: list[dict[tuple[int, int], _OpGroup]] = [{} for _ in range(plan.pp)]
+        # (stage, bytes) -> (delay, energy) of the handoff to the next stage
+        self.handoffs: dict[tuple[int, int], tuple[float, float]] = {}
+
+    def batch(self, states: list[_ReqState],
+              key: tuple[tuple[int, int], ...]) -> _Batch:
+        costs = self.costs.get(key)
+        if costs is None:
+            costs = self.costs[key] = [None] * self.pp
+        return _Batch(states, key, costs)
 
 
 class _Sim:
@@ -331,10 +382,13 @@ class _Sim:
         self.kv_shard_layer_bytes = (
             2 * ops.kv_heads_per_shard(model, plan.prefill.tp)
             * model.d_head * model.dtype_bytes)
+        self.act_bytes_per_token = model.d_model * model.dtype_bytes
 
         self.now = 0.0
         self._seq = itertools.count()
-        self._ev: list[tuple[float, int, Callable[[], None]]] = []
+        self._ev: list[tuple[float, int, Callable[..., None], tuple]] = []
+        self.events = 0
+        self.stage_executions = 0
         self.pre_q: deque[_ReqState] = deque()
         self.pool: list[_ReqState] = []
         self.kv_wait_q: deque[tuple[_ReqState, int]] = deque()
@@ -344,7 +398,7 @@ class _Sim:
         self.dec_beats_active = 0
         self.bridge_free: dict[tuple[tuple[int, int], tuple[int, int]], float] = {}
 
-        self._scost: dict[tuple, _StageCost] = {}
+        self._distinct: list[_StageCost] = []  # in the order they were built
         self.dyn_j = 0.0
         self.chip_compute_j: dict[tuple[int, int], float] = defaultdict(float)
         self.chip_dram_j: dict[tuple[int, int], float] = defaultdict(float)
@@ -353,85 +407,126 @@ class _Sim:
 
     # -- engine --
 
-    def at(self, t: float, fn: Callable[[], None]) -> None:
-        heapq.heappush(self._ev, (t, next(self._seq), fn))
+    def at(self, t: float, fn: Callable[..., None], *args) -> None:
+        heapq.heappush(self._ev, (t, next(self._seq), fn, args))
 
     def run(self) -> None:
         for st in self.states:
-            self.at(st.req.arrival_s, lambda st=st: self._arrive(st))
-        while self._ev:
-            self.now, _, fn = heapq.heappop(self._ev)
-            fn()
+            self.at(st.req.arrival_s, self._arrive, st)
+        ev = self._ev
+        pop = heapq.heappop
+        while ev:
+            self.now, _, fn, args = pop(ev)
+            fn(*args)
         self.last_event_t = self.now
+        self.events = next(self._seq)
 
     # -- costs --
 
-    def _stage_cost(self, ctx: _PhaseCtx, phase: ops.Phase, s: int,
-                    batch_key: tuple[tuple[int, int], ...]) -> _StageCost:
-        key = (phase, s, batch_key)
-        got = self._scost.get(key)
-        if got is not None:
-            return got
+    def _op_group(self, ctx: _PhaseCtx, s: int, op_list: list[ops.OpSpec]) -> _OpGroup:
+        """Each operator's latency and energy on one of stage s's PEs, and the
+        records of its GEMM and VPU ops."""
         chiplet = ctx.chiplet
-        temp = ctx.stage_temp[s]
-        tp = ctx.plan.tp
-        lo, hi = ctx.bounds[s]
-        n_layers = hi - lo
-        op_list = ops.layer_ops(self.model, tp, phase, list(batch_key))
-        t_layer = 0.0
-        qkv_off = 0.0
-        comp_j = dram_j = comm_j = 0.0
+        costs = []
         records = []
         for op in op_list:
+            comp_j = dram_j = comm_j = 0.0
             if op.kind is ops.OpKind.GEMM:
-                res = dataflow.cached_search(op.shape, chiplet.pe, chiplet.dram, temp,
-                                             clock_hz=chiplet.clock_hz,
+                res = dataflow.cached_search(op.shape, chiplet.pe, chiplet.dram,
+                                             ctx.stage_temp[s], clock_hz=chiplet.clock_hz,
                                              dtype_bytes=self.model.dtype_bytes)
                 dt = res.cost.latency_s
-                comp_j += res.cost.compute.energy_j
-                dram_j += res.cost.energy_j - res.cost.compute.energy_j
-                records.append(OpRecord(phase, "gemm", op.tag, op.shape.flops,
+                comp_j = res.cost.compute.energy_j
+                dram_j = res.cost.energy_j - res.cost.compute.energy_j
+                records.append(OpRecord(ctx.phase, "gemm", op.tag, op.shape.flops,
                                         res.cost.dram_bytes, dt))
             elif op.kind is ops.OpKind.VPU:
                 dt = vpu_cycles(op.elements, chiplet.pe) / chiplet.clock_hz
-                comp_j += op.elements * chiplet.pe.pj_per_flop * 1e-12
-                records.append(OpRecord(phase, "vpu", op.tag, op.elements, 0, dt))
-            else:  # all-reduce on the stage's group
-                if tp > 1:
-                    cc = allreduce_cost(ctx.members[s], ctx.centers[s], op.msg_bytes,
-                                        self.spec)
-                    dt = cc.latency_s
-                    comm_j += cc.energy_j
-                else:
-                    dt = 0.0
-            t_layer += dt
-            if op.tag == "qkv":
-                qkv_off = t_layer
-        got = _StageCost(
+                comp_j = op.elements * chiplet.pe.pj_per_flop * 1e-12
+                records.append(OpRecord(ctx.phase, "vpu", op.tag, op.elements, 0, dt))
+            elif ctx.plan.tp > 1:  # all-reduce on the stage's group
+                cc = allreduce_cost(ctx.members[s], ctx.centers[s], op.msg_bytes, self.spec)
+                dt = cc.latency_s
+                comm_j = cc.energy_j
+            else:
+                dt = 0.0
+            costs.append((dt, comp_j, dram_j, comm_j, op.tag == "qkv"))
+        return tuple(costs), tuple(records)
+
+    def _stage_cost(self, ctx: _PhaseCtx, s: int, batch: _Batch) -> _StageCost:
+        """Build stage s's cost for the batch's key and store it in the
+        batch's cost list. The layer's ops run in ops.layer_ops order:
+        projections before attention, each request's attention, projections
+        after it. Their costs are added one by one in that order; an op with
+        no energy of some kind adds 0.0, which leaves the sum unchanged."""
+        key = batch.key
+        m_tokens = sum(nt for nt, _ in key)
+        proj = ctx.proj[s].get(m_tokens)
+        if proj is None:
+            pre_ops, post_ops = ops.proj_ops(self.model, ctx.plan.tp, m_tokens)
+            proj = ctx.proj[s][m_tokens] = (self._op_group(ctx, s, pre_ops),
+                                             self._op_group(ctx, s, post_ops))
+        attn_memo = ctx.attn[s]
+        groups = [proj[0]]
+        for nt, c in key:
+            g = attn_memo.get((nt, c))
+            if g is None:
+                g = attn_memo[(nt, c)] = self._op_group(
+                    ctx, s, ops.attn_ops(self.model, ctx.plan.tp, ctx.phase, nt, c))
+            groups.append(g)
+        groups.append(proj[1])
+        t_layer = qkv_off = comp_j = dram_j = comm_j = 0.0
+        records: list[OpRecord] = []
+        for costs, recs in groups:
+            for dt, c_j, d_j, x_j, is_qkv in costs:
+                t_layer += dt
+                comp_j += c_j
+                dram_j += d_j
+                comm_j += x_j
+                if is_qkv:
+                    qkv_off = t_layer
+            records += recs
+        lo, hi = ctx.bounds[s]
+        n_layers = hi - lo
+        shard_compute_j = comp_j * n_layers
+        shard_dram_j = dram_j * n_layers
+        cost = _StageCost(
             duration_s=t_layer * n_layers,
             layer_s=t_layer,
             qkv_offset_s=qkv_off,
-            shard_compute_j=comp_j * n_layers,
-            shard_dram_j=dram_j * n_layers,
+            shard_compute_j=shard_compute_j,
+            shard_dram_j=shard_dram_j,
+            shard_j=shard_compute_j + shard_dram_j,
             comm_j=comm_j * n_layers,
             records=tuple(records),
         )
-        self._scost[key] = got
-        return got
+        batch.costs[s] = cost
+        self._distinct.append(cost)
+        return cost
 
     def _run_stage(self, ctx: _PhaseCtx, s: int, cost: _StageCost) -> None:
         """Book one stage execution's energy: each member PE's shard into the
         run's dynamic total and its chiplet's totals, in member order."""
-        for m in ctx.members[s]:
-            self.dyn_j += cost.shard_compute_j + cost.shard_dram_j
-            self.chip_compute_j[m.chip] += cost.shard_compute_j
-            self.chip_dram_j[m.chip] += cost.shard_dram_j
+        self.stage_executions += 1
+        compute_j, dram_j, shard_j = cost.shard_compute_j, cost.shard_dram_j, cost.shard_j
+        chip_compute_j, chip_dram_j = self.chip_compute_j, self.chip_dram_j
+        dyn_j = self.dyn_j
+        for chip in ctx.member_chips[s]:
+            dyn_j += shard_j
+            chip_compute_j[chip] += compute_j
+            chip_dram_j[chip] += dram_j
+        self.dyn_j = dyn_j
         self.comm_energy += cost.comm_j
 
     def _handoff(self, ctx: _PhaseCtx, s: int, act_bytes: int) -> float:
-        noc, nop = ctx.hop[s]
-        self.comm_energy += link_energy(act_bytes, noc, nop, self.spec)
-        return link_delay(act_bytes, noc, nop, self.spec)
+        got = ctx.handoffs.get((s, act_bytes))
+        if got is None:
+            noc, nop = ctx.hop[s]
+            got = ctx.handoffs[(s, act_bytes)] = (
+                link_delay(act_bytes, noc, nop, self.spec),
+                link_energy(act_bytes, noc, nop, self.spec))
+        self.comm_energy += got[1]
+        return got[0]
 
     # -- prefill --
 
@@ -442,60 +537,55 @@ class _Sim:
     def _try_prefill_admit(self) -> None:
         if self.pre.busy[0] or not self.pre_q:
             return
-        job = [self.pre_q.popleft()
-               for _ in range(min(self.cfg.max_prefill_batch, len(self.pre_q)))]
-        self._start_prefill_stage(0, job)
-
-    def _prefill_batch_key(self, job: list[_ReqState]) -> tuple[tuple[int, int], ...]:
+        states = [self.pre_q.popleft()
+                  for _ in range(min(self.cfg.max_prefill_batch, len(self.pre_q)))]
         b = self.cfg.len_bucket
-        return tuple(sorted(
+        key = tuple(sorted(
             (_bucket(st.req.input_len, b), _bucket(st.req.input_len, b))
-            for st in job))
+            for st in states))
+        self._start_prefill_stage(0, self.pre.batch(states, key))
 
-    def _start_prefill_stage(self, s: int, job: list[_ReqState]) -> None:
+    def _start_prefill_stage(self, s: int, job: _Batch) -> None:
         self.pre.busy[s] = True
-        cost = self._stage_cost(self.pre, ops.Phase.PREFILL, s,
-                                self._prefill_batch_key(job))
+        cost = job.costs[s] or self._stage_cost(self.pre, s, job)
         self._run_stage(self.pre, s, cost)
-        self._schedule_kv_sends(s, job, cost)
-        self.at(self.now + cost.duration_s,
-                lambda: self._end_prefill_stage(s, job))
+        self._schedule_kv_sends(s, job.states, cost)
+        self.at(self.now + cost.duration_s, self._end_prefill_stage, s, job)
 
-    def _end_prefill_stage(self, s: int, job: list[_ReqState]) -> None:
+    def _end_prefill_stage(self, s: int, job: _Batch) -> None:
         self.pre.busy[s] = False
-        if s + 1 < self.pre.plan.pp:
-            act = sum(st.req.input_len for st in job) \
-                * self.model.d_model * self.model.dtype_bytes
+        if s + 1 < self.pre.pp:
+            act = sum(st.req.input_len for st in job.states) * self.act_bytes_per_token
             delay = self._handoff(self.pre, s, act)
-            self.at(self.now + delay, lambda: self._enqueue_prefill(s + 1, job))
+            self.at(self.now + delay, self._enqueue_prefill, s + 1, job)
         else:
-            self._finish_prefill(job)
+            self._finish_prefill(job.states)
         if s == 0:
             self._try_prefill_admit()
         elif self.pre.queues[s]:
             self._start_prefill_stage(s, self.pre.queues[s].popleft())
 
-    def _enqueue_prefill(self, s: int, job: list[_ReqState]) -> None:
+    def _enqueue_prefill(self, s: int, job: _Batch) -> None:
         if self.pre.busy[s]:
             self.pre.queues[s].append(job)
         else:
             self._start_prefill_stage(s, job)
 
-    def _finish_prefill(self, job: list[_ReqState]) -> None:
-        for st in job:
+    def _finish_prefill(self, states: list[_ReqState]) -> None:
+        for st in states:
             st.ttft = self.now - st.req.arrival_s
             st.last_tok = self.now
             if st.req.output_len > 1 and st.outstanding_kv == 0:
                 self._mark_ready(st)
 
-    def _schedule_kv_sends(self, s: int, job: list[_ReqState],
+    def _schedule_kv_sends(self, s: int, states: list[_ReqState],
                            cost: _StageCost) -> None:
         """Queue this stage's KV pages onto the chiplet-pair bridges, layer by
         layer as QKV completes inside the running stage."""
         lo = self.pre.bounds[s][0]
         for i, src in enumerate(self.pre.members[s]):
             routes = self.peer_map.get((s, i), [])
-            for st in job:
+            for st in states:
                 if st.req.output_len == 1:
                     continue
                 per_layer = st.req.input_len * self.kv_shard_layer_bytes
@@ -504,8 +594,7 @@ class _Sim:
                         ready = self.now + (layer - lo) * cost.layer_s \
                             + cost.qkv_offset_s
                         st.outstanding_kv += 1
-                        self.at(ready, lambda st=st, src=src, dst=dst,
-                                b=per_layer: self._bridge_send(st, src, dst, b))
+                        self.at(ready, self._bridge_send, st, src, dst, per_layer)
 
     def _bridge_send(self, st: _ReqState, src: MeshCoord, dst: MeshCoord,
                      nbytes: int) -> None:
@@ -515,7 +604,7 @@ class _Sim:
         self.comm_energy += link_energy(nbytes, noc, nop, self.spec)
         start = max(self.now, self.bridge_free.get(key, 0.0))
         self.bridge_free[key] = start + lat
-        self.at(start + lat, lambda: self._kv_arrived(st))
+        self.at(start + lat, self._kv_arrived, st)
 
     def _kv_arrived(self, st: _ReqState) -> None:
         st.outstanding_kv -= 1
@@ -565,39 +654,34 @@ class _Sim:
         for st in beat:
             st.in_flight = True
         self.dec_beats_active += 1
-        # in-flight contexts stay fixed, so the beat's key holds for every stage
         b = self.cfg.len_bucket
         key = tuple(sorted((1, _bucket(st.ctx, b)) for st in beat))
-        self._start_decode_stage(0, beat, key)
+        self._start_decode_stage(0, self.dec.batch(beat, key))
 
-    def _start_decode_stage(self, s: int, beat: list[_ReqState],
-                            key: tuple[tuple[int, int], ...]) -> None:
+    def _start_decode_stage(self, s: int, beat: _Batch) -> None:
         self.dec.busy[s] = True
-        cost = self._stage_cost(self.dec, ops.Phase.DECODE, s, key)
+        cost = beat.costs[s] or self._stage_cost(self.dec, s, beat)
         self._run_stage(self.dec, s, cost)
-        self.at(self.now + cost.duration_s,
-                lambda: self._end_decode_stage(s, beat, key))
+        self.at(self.now + cost.duration_s, self._end_decode_stage, s, beat)
 
-    def _end_decode_stage(self, s: int, beat: list[_ReqState],
-                          key: tuple[tuple[int, int], ...]) -> None:
-        self.dec.busy[s] = False
-        if s + 1 < self.dec.plan.pp:
-            act = len(beat) * self.model.d_model * self.model.dtype_bytes
-            delay = self._handoff(self.dec, s, act)
-            self.at(self.now + delay, lambda: self._enqueue_decode(s + 1, beat, key))
+    def _end_decode_stage(self, s: int, beat: _Batch) -> None:
+        dec = self.dec
+        dec.busy[s] = False
+        if s + 1 < dec.pp:
+            delay = self._handoff(dec, s, len(beat.states) * self.act_bytes_per_token)
+            self.at(self.now + delay, self._enqueue_decode, s + 1, beat)
         else:
-            self._finish_beat(beat)
-        if self.dec.queues[s]:
-            self._start_decode_stage(s, *self.dec.queues[s].popleft())
-        else:
+            self._finish_beat(beat.states)
+        if dec.queues[s]:
+            self._start_decode_stage(s, dec.queues[s].popleft())
+        elif s == 0:  # only a free first stage can take a new beat
             self._try_decode_start()
 
-    def _enqueue_decode(self, s: int, beat: list[_ReqState],
-                        key: tuple[tuple[int, int], ...]) -> None:
+    def _enqueue_decode(self, s: int, beat: _Batch) -> None:
         if self.dec.busy[s]:
-            self.dec.queues[s].append((beat, key))
+            self.dec.queues[s].append(beat)
         else:
-            self._start_decode_stage(s, beat, key)
+            self._start_decode_stage(s, beat)
 
     def _finish_beat(self, beat: list[_ReqState]) -> None:
         self.dec_beats_active -= 1
@@ -661,9 +745,11 @@ class _Sim:
             energy_j=energy,
             tokens_per_joule=total_tokens / energy if energy > 0 else 0.0,
             kv_overflow=self.kv_overflow,
-            op_records=tuple(r for c in self._scost.values() for r in c.records),
+            op_records=tuple(r for c in self._distinct for r in c.records),
             chip_compute_j=dict(self.chip_compute_j),
             chip_dram_j=dict(self.chip_dram_j),
+            events=self.events,
+            stage_executions=self.stage_executions,
         )
 
 

@@ -17,7 +17,7 @@ lowest pump level whose converged maximum stays under t_limit_c.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Mapping
 
 import numpy as np
@@ -63,6 +63,7 @@ class ThermalResult:
     pump_w: float
     iterations: int
     over_limit: bool
+    rounds: int = 0  # serving/thermal coupling rounds behind it; 0 from equilibrium alone
 
     @property
     def dram_hot_c(self) -> dict[Chip, float]:
@@ -231,8 +232,8 @@ def coupled_serve(spec: SystemSpec, model, plan, trace,
     through each chiplet's refresh derate, so from round two on the loop stops
     once every derate at the temperatures the last simulation used equals the
     derate at the returned dram_hot_c: the metrics are then those of a
-    simulation at the returned temperatures. NonConvergence past
-    MAX_COUPLING_ROUNDS."""
+    simulation at the returned temperatures, and the returned result carries
+    the number of rounds run. NonConvergence past MAX_COUPLING_ROUNDS."""
     temps: float | dict[Chip, float] = start_temp_c
     for rnd in range(1, MAX_COUPLING_ROUNDS + 1):
         metrics = serving.simulate(spec, model, plan, trace, cfg, temps=temps)
@@ -244,6 +245,6 @@ def coupled_serve(spec: SystemSpec, model, plan, trace,
                 refresh_derate(spec.chiplet_at(c).dram, used[c])
                 == refresh_derate(spec.chiplet_at(c).dram, temps[c])
                 for c in spec.placement):
-            return metrics, result
+            return metrics, replace(result, rounds=rnd)
     raise NonConvergence(
         f"serving/thermal coupling moved a refresh bin in round {MAX_COUPLING_ROUNDS}")

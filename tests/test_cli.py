@@ -132,6 +132,9 @@ def test_simulate_outputs_and_manifest(tmp_path):
     metrics = json.loads((out / "metrics.json").read_text())
     assert metrics["roofline_violations"] == 0
     assert metrics["thermal"]["iterations"] >= 1
+    run = man["run"]
+    assert run["coupling_rounds"] >= 2
+    assert run["events"] > run["stage_executions"] > 0
 
 
 def test_simulate_rerun_byte_stable(tmp_path):
@@ -141,6 +144,7 @@ def test_simulate_rerun_byte_stable(tmp_path):
     for name in ("metrics.json", "requests.csv", "trace.csv"):
         assert filecmp.cmp(a / name, b / name, shallow=False), name
     assert read_manifest(a)["result_digest"] == read_manifest(b)["result_digest"]
+    assert read_manifest(a)["run"]["coupling_rounds"] == 0  # no --thermal
 
 
 def test_simulate_missing_trace_exit2(tmp_path, capsys):

@@ -1,8 +1,12 @@
-"""Source hygiene: every top-level import in the package is used."""
+"""Source hygiene: every top-level import in the package is used, and
+importing the CLI loads no process-pool machinery."""
 
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import lamosim
@@ -31,3 +35,14 @@ def test_unused_imports_detector():
 def test_no_unused_top_level_imports():
     found = {p.name: unused_imports(p.read_text()) for p in sorted(SRC.glob("*.py"))}
     assert {name: names for name, names in found.items() if names} == {}
+
+
+def test_cli_import_loads_no_process_pool_modules():
+    """Only `dse --level system` starts a process pool, and it imports one
+    itself, so `simulate`, `dataflow` and `gen-trace` never load it."""
+    code = ("import sys, lamosim.cli; print(sorted(m for m in sys.modules "
+            "if m.startswith(('multiprocessing', 'concurrent'))))")
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"

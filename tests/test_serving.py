@@ -15,7 +15,7 @@ import pytest
 from conftest import make_chiplet, make_dram, make_model, make_system
 from lamosim import dataflow, ops, serving
 from lamosim.compute import vpu_cycles
-from lamosim.comm import manhattan, link_delay
+from lamosim.comm import allreduce_cost, manhattan, link_delay
 from lamosim.hwspec import PowerConsts, Role
 from lamosim.mapping import build_pd_plan
 from lamosim.serving import (
@@ -289,7 +289,8 @@ def _static_w(system) -> float:
 
 def test_energy_totals_equal_per_pe_execution_log(tiny_model, monkeypatch):
     """Rebuild the per-PE log of every stage execution and sum it in
-    execution order: the run's energy and every chiplet total match exactly.
+    execution order: the run's energy and every chiplet total match exactly,
+    under continuous and static batching and with a two-stage prefill.
     Without static power the run's energy is small enough to show a change
     in the summation order."""
     zero = PowerConsts(leak_base_w_per_pe=0.0, dram_static_w_per_layer=0.0,
@@ -306,28 +307,34 @@ def test_energy_totals_equal_per_pe_execution_log(tiny_model, monkeypatch):
         run_stage(self, ctx, s, cost)
 
     monkeypatch.setattr(serving._Sim, "_run_stage", spy)
-    plan = _plan(system, tiny_model, tp_prefill=2, tp_decode=2, pp_decode=2)
     tr = synth_trace("custom", 6, 100.0, seed=4, mean_input=16, mean_output=4)
-    m = simulate(system, tiny_model, plan, tr, SimConfig(len_bucket=4))
+    for continuous, pp_prefill in ((True, 1), (False, 1), (True, 2)):
+        runs.clear()
+        plan = _plan(system, tiny_model, tp_prefill=2, pp_prefill=pp_prefill,
+                     tp_decode=2, pp_decode=2)
+        m = simulate(system, tiny_model, plan, tr,
+                     SimConfig(len_bucket=4, continuous_batching=continuous))
 
-    log = [(pe, cost.shard_compute_j, cost.shard_dram_j)
-           for _, members, cost in runs for pe in members]
-    assert log
-    compute_j: dict = defaultdict(float)
-    dram_j: dict = defaultdict(float)
-    for pe, c, d in log:
-        compute_j[pe.chip] += c
-        dram_j[pe.chip] += d
-    assert m.chip_compute_j == compute_j
-    assert m.chip_dram_j == dram_j
-    dyn = sum(c + d for _, c, d in log)
-    sim = runs[0][0]
-    assert m.energy_j == dyn + sim.comm_energy + _static_w(system) * m.makespan_s
+        log = [(pe, cost.shard_compute_j, cost.shard_dram_j)
+               for _, members, cost in runs for pe in members]
+        assert log and m.stage_executions == len(runs)
+        compute_j: dict = defaultdict(float)
+        dram_j: dict = defaultdict(float)
+        for pe, c, d in log:
+            compute_j[pe.chip] += c
+            dram_j[pe.chip] += d
+        assert m.chip_compute_j == compute_j
+        assert m.chip_dram_j == dram_j
+        dyn = 0.0
+        for _, c, d in log:  # not sum(): Python 3.12 compensates float sums
+            dyn += c + d
+        sim = runs[0][0]
+        assert m.energy_j == dyn + sim.comm_energy + _static_w(system) * m.makespan_s
 
-    member_chips = {p.chip for ph in (plan.prefill, plan.decode)
-                    for stage in ph.stage_members for p in stage}
-    assert set(m.chip_compute_j) | set(m.chip_dram_j) <= member_chips
-    assert all(v >= 0 for v in (*m.chip_compute_j.values(), *m.chip_dram_j.values()))
+        member_chips = {p.chip for ph in (plan.prefill, plan.decode)
+                        for stage in ph.stage_members for p in stage}
+        assert set(m.chip_compute_j) | set(m.chip_dram_j) <= member_chips
+        assert all(v >= 0 for v in (*m.chip_compute_j.values(), *m.chip_dram_j.values()))
 
 
 def test_energy_includes_static_floor(tiny_model, system):
@@ -336,6 +343,241 @@ def test_energy_includes_static_floor(tiny_model, system):
                  SimConfig(len_bucket=1))
     assert m.energy_j >= _static_w(system) * m.makespan_s
     assert m.tokens_per_joule == pytest.approx(m.total_tokens / m.energy_j)
+
+
+# --- engine oracle ----------------------------------------------------------------
+# Reference outputs, recorded as literals from the engine that scheduled one
+# closure per event and costed every operator of every new stage cost on its
+# own. The engine must reproduce them exactly. Each case is (plan shape,
+# SimConfig fields, temperatures); together they cover continuous and static
+# batching, KV-budget waits, a two-stage prefill sending KV per layer, decode
+# pp 2 and 4, and per-chip temperatures in different refresh bins.
+
+_ORACLE_PLAN = dict(tp_prefill=2, pp_prefill=1, tp_decode=2, pp_decode=2)
+_ORACLE_TEMPS = {(0, 0): 60.0, (1, 0): 92.0, (2, 0): 75.0, (3, 0): 101.0}
+_ORACLE_CASES = {
+    "continuous": (_ORACLE_PLAN, {}, 65.0),
+    "static": (_ORACLE_PLAN, {"continuous_batching": False, "max_decode_batch": 3}, 65.0),
+    "kv_wait": (_ORACLE_PLAN, {"kv_budget_bytes": 8192}, 65.0),
+    "pp_prefill2": ({**_ORACLE_PLAN, "tp_prefill": 4, "pp_prefill": 2}, {}, _ORACLE_TEMPS),
+    "decode_pp4": ({**_ORACLE_PLAN, "pp_decode": 4}, {}, _ORACLE_TEMPS),
+}
+
+
+def _oracle_inputs(case: str) -> tuple:
+    """simulate's arguments for one case: system, model, plan, trace, config
+    and temperatures."""
+    shape, fields, temps = _ORACLE_CASES[case]
+    model = make_model(n_layers=4)
+    system = make_system()
+    tr = synth_trace("custom", 6, 4000.0, seed=5, mean_input=24, mean_output=8)
+    return (system, model, _plan(system, model, **shape), tr,
+            SimConfig(len_bucket=4, **fields), temps)
+
+
+def _oracle_fingerprint(case: str) -> dict:
+    m = simulate(*_oracle_inputs(case))
+    return {
+        "summary": serving.summary_dict(m),
+        "requests": [(r.ttft_s, r.tbt_mean_s, r.e2e_s, r.kv_wait_s) for r in m.requests],
+        "energy_j": m.energy_j,
+        "chip_compute_j": list(m.chip_compute_j.items()),
+        "chip_dram_j": list(m.chip_dram_j.items()),
+        "op_records": len(m.op_records),
+    }
+
+
+_ORACLE = {
+    "continuous": {
+        "summary": {
+            "requests": 6, "total_tokens": 42, "makespan_s": 0.0048498304638906154,
+            "throughput_tok_s": 8660.096535891462, "energy_j": 0.22794653496445894,
+            "tokens_per_joule": 184.25373303677802, "kv_overflow": False,
+            "ttft_p50_s": 1.4726046476978795e-05, "ttft_p95_s": 1.977823029105058e-05,
+            "tbt_p50_s": 0.0003425441916938344, "tbt_p95_s": 0.0003906329356409212,
+            "e2e_p95_s": 0.004165615111888257,
+        },
+        "requests": [
+            (1.4726046476978795e-05, 0.0003425441916938344, 0.001042358621558482, 0.0),
+            (1.4726046476978795e-05, 0.00027672593769408516, 0.004165615111888257, 0.0),
+            (7.962526476978796e-06, 0.0003297935897016155, 0.002316517654388287, 0.0),
+            (1.718411563372997e-05, 0.000356251354199565, 0.00072968682403286, 0.0),
+            (1.977823029105058e-05, 0.0003594740397392239, 0.002176622468726394, 0.0),
+            (1.9620926476978827e-05, 0.0003906329356409212, 0.0011915197333997425, 0.0),
+        ],
+        "energy_j": 0.22794653496445894,
+        "chip_compute_j": [
+            ((0, 0), 6.25024e-07), ((2, 0), 1.4406400000000006e-07),
+        ],
+        "chip_dram_j": [
+            ((0, 0), 2.0328447999999997e-06), ((2, 0), 1.6715775999999986e-06),
+        ],
+        "op_records": 324,
+    },
+    "static": {
+        "summary": {
+            "requests": 6, "total_tokens": 42, "makespan_s": 0.0067917143618354955,
+            "throughput_tok_s": 6184.005651946954, "energy_j": 0.3192150781678683,
+            "tokens_per_joule": 131.57273221884935, "kv_overflow": False,
+            "ttft_p50_s": 1.4726046476978795e-05, "ttft_p95_s": 1.977823029105058e-05,
+            "tbt_p50_s": 0.0003414356272574102, "tbt_p95_s": 0.0016015904444816622,
+            "e2e_p95_s": 0.005642265348771636,
+        },
+        "requests": [
+            (1.4726046476978795e-05, 0.0002302799264769788, 0.0007055658259079152, 0.0),
+            (1.4726046476978795e-05, 0.00030536771720115395, 0.004595241804494288, 0.0),
+            (7.962526476978796e-06, 0.0003414356272574102, 0.0023980119172788503, 0.0),
+            (1.718411563372997e-05, 0.00041100420564484563, 0.0008391925269234212, 0.0),
+            (1.977823029105058e-05, 0.0009370811864134309, 0.005642265348771636, 0.0),
+            (1.9620926476978827e-05, 0.0016015904444816622, 0.004824392259921965, 0.0),
+        ],
+        "energy_j": 0.3192150781678683,
+        "chip_compute_j": [
+            ((0, 0), 6.25024e-07), ((2, 0), 1.4406400000000004e-07),
+        ],
+        "chip_dram_j": [
+            ((0, 0), 2.0328447999999997e-06), ((2, 0), 1.6715775999999971e-06),
+        ],
+        "op_records": 324,
+    },
+    "kv_wait": {
+        "summary": {
+            "requests": 6, "total_tokens": 42, "makespan_s": 0.007880660687076489,
+            "throughput_tok_s": 5329.502394244163, "energy_j": 0.370395830705395,
+            "tokens_per_joule": 113.39220509046687, "kv_overflow": True,
+            "ttft_p50_s": 1.4726046476978795e-05, "ttft_p95_s": 1.977823029105058e-05,
+            "tbt_p50_s": 0.00025430437806389823, "tbt_p95_s": 0.0026542590856683426,
+            "e2e_p95_s": 0.0067312116740126295,
+        },
+        "requests": [
+            (1.4726046476978795e-05, 0.00025430437806389823, 0.0007776391806686735, 0.0),
+            (1.4726046476978795e-05, 0.00023263495942949818, 0.003504250437919451, 0.0),
+            (7.962526476978796e-06, 0.000702448131625959, 0.004925099447858692, 0.0031709494360428656),
+            (1.718411563372997e-05, 0.0026542590856683426, 0.005325702286970415, 0.0047755583183827265),
+            (1.977823029105058e-05, 0.001118572240620263, 0.0067312116740126295, 0.005298385884859706),
+            (1.9620926476978827e-05, 0.00023048689981031213, 0.0007110816259079153, 0.0),
+        ],
+        "energy_j": 0.370395830705395,
+        "chip_compute_j": [
+            ((0, 0), 6.25024e-07), ((2, 0), 1.4406400000000017e-07),
+        ],
+        "chip_dram_j": [
+            ((0, 0), 2.0328447999999997e-06), ((2, 0), 1.9468287999999987e-06),
+        ],
+        "op_records": 230,
+    },
+    "pp_prefill2": {
+        "summary": {
+            "requests": 6, "total_tokens": 42, "makespan_s": 0.004852022830619971,
+            "throughput_tok_s": 8656.183506587791, "energy_j": 0.22805181465193866,
+            "tokens_per_joule": 184.16867265056405, "kv_overflow": False,
+            "ttft_p50_s": 1.691845320633497e-05, "ttft_p95_s": 2.252299320633518e-05,
+            "tbt_p50_s": 0.00034254417836050103, "tbt_p95_s": 0.0003903963689742545,
+            "e2e_p95_s": 0.0041678074786176125,
+        },
+        "requests": [
+            (1.691845320633497e-05, 0.00034254417836050103, 0.001044550988287838, 0.0),
+            (1.6918413206334915e-05, 0.00027672593769408516, 0.0041678074786176125, 0.0),
+            (9.104193206335058e-06, 0.0003299436897016155, 0.002318710021117644, 0.0),
+            (1.9419676766489757e-05, 0.00035622975699786316, 0.0007318791907622161, 0.0),
+            (1.7693494914677215e-05, 0.00036018689009017883, 0.00217881483545575, 0.0),
+            (2.252299320633518e-05, 0.0003903963689742545, 0.0011937121001290988, 0.0),
+        ],
+        "energy_j": 0.22805181465193866,
+        "chip_compute_j": [
+            ((0, 0), 5.43328e-07), ((1, 0), 5.43328e-07), ((2, 0), 1.4406400000000006e-07),
+        ],
+        "chip_dram_j": [
+            ((0, 0), 1.8923519999999994e-06), ((1, 0), 1.8923519999999994e-06),
+            ((2, 0), 1.6715775999999986e-06),
+        ],
+        "op_records": 374,
+    },
+    "decode_pp4": {
+        "summary": {
+            "requests": 6, "total_tokens": 42, "makespan_s": 0.004401482851147054,
+            "throughput_tok_s": 9542.23870009048, "energy_j": 0.20687436366151152,
+            "tokens_per_joule": 203.02177252238238, "kv_overflow": False,
+            "ttft_p50_s": 1.4726046476978795e-05, "ttft_p95_s": 1.977823029105058e-05,
+            "tbt_p50_s": 0.00027159207139266253, "tbt_p95_s": 0.00033231944198050393,
+            "e2e_p95_s": 0.003717267499144695,
+        },
+        "requests": [
+            (1.4726046476978795e-05, 0.0002351852542643103, 0.0007202818092699097, 0.0),
+            (1.4726046476978795e-05, 0.0002468360968445144, 0.003717267499144695, 0.0),
+            (7.962526476978796e-06, 0.00027401213158149, 0.0019260474475474088, 0.0),
+            (1.718411563372997e-05, 0.00033231944198050393, 0.0006818229995947378, 0.0),
+            (1.977823029105058e-05, 0.00027159207139266253, 0.0016493306586470259, 0.0),
+            (1.9620926476978827e-05, 0.00029983407874271473, 0.000919123162705123, 0.0),
+        ],
+        "energy_j": 0.20687436366151152,
+        "chip_compute_j": [
+            ((0, 0), 6.25024e-07), ((2, 0), 7.203200000000003e-08),
+            ((3, 0), 7.203200000000003e-08),
+        ],
+        "chip_dram_j": [
+            ((0, 0), 2.0328447999999997e-06), ((2, 0), 9.16070399999999e-07),
+            ((3, 0), 9.16070399999999e-07),
+        ],
+        "op_records": 486,
+    },
+}
+
+
+@pytest.mark.parametrize("case", list(_ORACLE_CASES))
+def test_engine_matches_recorded_outputs(case):
+    assert _oracle_fingerprint(case) == _ORACLE[case]
+
+
+def _direct_stage_cost(sim, ctx, s: int, key) -> serving._StageCost:
+    """A stage's cost as the engine built it before its operator memos: each
+    op of ops.layer_ops costed on its own, in op order."""
+    chiplet, tp = ctx.chiplet, ctx.plan.tp
+    t_layer = qkv_off = comp_j = dram_j = comm_j = 0.0
+    records = []
+    for op in ops.layer_ops(sim.model, tp, ctx.phase, list(key)):
+        if op.kind is ops.OpKind.GEMM:
+            res = dataflow.cached_search(op.shape, chiplet.pe, chiplet.dram,
+                                         ctx.stage_temp[s], clock_hz=chiplet.clock_hz,
+                                         dtype_bytes=sim.model.dtype_bytes)
+            dt = res.cost.latency_s
+            comp_j += res.cost.compute.energy_j
+            dram_j += res.cost.energy_j - res.cost.compute.energy_j
+            records.append(serving.OpRecord(ctx.phase, "gemm", op.tag, op.shape.flops,
+                                            res.cost.dram_bytes, dt))
+        elif op.kind is ops.OpKind.VPU:
+            dt = vpu_cycles(op.elements, chiplet.pe) / chiplet.clock_hz
+            comp_j += op.elements * chiplet.pe.pj_per_flop * 1e-12
+            records.append(serving.OpRecord(ctx.phase, "vpu", op.tag, op.elements, 0, dt))
+        elif tp > 1:
+            cc = allreduce_cost(ctx.members[s], ctx.centers[s], op.msg_bytes, sim.spec)
+            dt = cc.latency_s
+            comm_j += cc.energy_j
+        else:
+            dt = 0.0
+        t_layer += dt
+        if op.tag == "qkv":
+            qkv_off = t_layer
+    lo, hi = ctx.bounds[s]
+    n = hi - lo
+    return serving._StageCost(
+        duration_s=t_layer * n, layer_s=t_layer, qkv_offset_s=qkv_off,
+        shard_compute_j=comp_j * n, shard_dram_j=dram_j * n,
+        shard_j=comp_j * n + dram_j * n, comm_j=comm_j * n, records=tuple(records))
+
+
+@pytest.mark.parametrize("case", ["static", "pp_prefill2", "decode_pp4"])
+def test_stage_costs_equal_direct_per_op_costing(case):
+    sim = serving._Sim(*_oracle_inputs(case))
+    sim.run()
+    checked = 0
+    for ctx in (sim.pre, sim.dec):
+        for key, costs in ctx.costs.items():
+            for s, cost in enumerate(costs):
+                if cost is not None:
+                    assert cost == _direct_stage_cost(sim, ctx, s, key), (ctx.phase, s, key)
+                    checked += 1
+    assert checked == len(sim._distinct) > 2 * sim.dec.pp
 
 
 def test_simulation_deterministic(tiny_model, system):

@@ -218,6 +218,8 @@ def test_coupled_serve_smoke(tiny_model, system):
     assert th.t_max_c > system.cooling.ambient_c
     m2, th2 = thermal.coupled_serve(system, tiny_model, plan, trace, cfg)
     assert m2 == m and th2 == th
+    # round 1 starts at 65 C; round 2 confirms the bins of round 1's result
+    assert th.rounds == 2
 
 
 def test_coupled_serve_metrics_simulated_at_returned_temperatures(tiny_model):
