@@ -436,18 +436,16 @@ def _chiplet_row(c) -> list:
     m = derive_chiplet_metrics(c)
     return [
         c.pe_rows * c.pe_cols, c.pe.n_core, c.pe.sa_rows, c.pe.sa_cols,
-        c.pe.base_sa_rows, c.pe.sram_capacity_bytes // 1024, c.pe.sram_banks,
-        c.pe.vector_regs, c.pe.noc_flit_bits, c.dram.n_layer, c.dram.n_bank,
-        c.dram.n_io_bits, c.dram.page_size_bytes, c.dram.capacity_bytes >> 30,
+        c.pe.base_sa_rows, c.pe.sram_capacity_bytes // 1024, c.pe.vector_regs,
+        c.dram.n_layer, c.dram.n_bank, c.dram.n_io_bits, c.dram.capacity_bytes >> 30,
         _fmt(m.peak_flops / 1e12), _fmt(m.peak_bw_bytes / 1e9), _fmt(m.peak_power_w),
     ]
 
 
 _CHIPLET_HEADER = [
     "n_pe", "n_core", "sa_rows", "sa_cols", "base_sa_rows", "sram_kb",
-    "sram_banks", "vector_regs", "noc_flit_bits", "n_layer", "n_bank",
-    "n_io_bits", "page_bytes", "capacity_gb", "peak_tflops", "peak_bw_gbs",
-    "peak_power_w",
+    "vector_regs", "n_layer", "n_bank", "n_io_bits", "capacity_gb",
+    "peak_tflops", "peak_bw_gbs", "peak_power_w",
 ]
 
 

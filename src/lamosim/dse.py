@@ -52,6 +52,7 @@ from .mapping import (
     kv_headroom,
     pool_chiplet,
     pool_pe_coords,
+    stage_bytes,
 )
 from .serving import KvOverflow, SimConfig
 from .thermal import coupled_serve
@@ -105,16 +106,13 @@ DEFAULT_CHIPLET_DOMAIN: dict[str, tuple[int, ...]] = {
     "capacity_gb": (1, 2, 4, 8, 16, 32),
     "n_layer": (1, 2, 3, 4, 5),
     "n_bank": (8, 16, 32, 64, 128),
-    "page_bytes": (1024, 2048, 4096, 8192),
     "n_core": (1, 2, 4, 8, 10, 16, 24, 32),
     "n_pe": (4, 6, 8, 9, 10, 12, 16, 18, 20, 24, 25),
-    "sram_banks": (4, 8, 16, 32),
     "sram_kb": (64, 128, 256, 512, 1024, 2048),
     "sa_rows": (16, 32, 64, 128),
     "sa_cols": (16, 32, 64, 128),
     "base_sa_rows": (1, 2, 4, 8, 16),
     "vector_regs": (16, 32, 64, 128),
-    "noc_flit_bits": (128, 256, 512, 1024, 2048),
 }
 
 
@@ -154,7 +152,6 @@ def chiplet_from_sample(base: ChipletSpec, sample: Mapping[str, int]) -> Chiplet
         n_layer=sample["n_layer"],
         n_bank=sample["n_bank"],
         n_io_bits=sample["n_io_bits"],
-        page_size_bytes=sample["page_bytes"],
         capacity_bytes=sample["capacity_gb"] << 30,
     )
     n_mc = dram.channels // (rows * cols)
@@ -167,9 +164,7 @@ def chiplet_from_sample(base: ChipletSpec, sample: Mapping[str, int]) -> Chiplet
         sa_cols=sample["sa_cols"],
         base_sa_rows=sample["base_sa_rows"],
         sram_capacity_bytes=sample["sram_kb"] * 1024,
-        sram_banks=sample["sram_banks"],
         vector_regs=sample["vector_regs"],
-        noc_flit_bits=sample["noc_flit_bits"],
         n_mc=n_mc,
     )
     return replace(base, pe_rows=rows, pe_cols=cols, pe=pe, dram=dram)
@@ -275,8 +270,10 @@ def _phase_shapes(pool_n: int, n_layers: int) -> list[tuple[int, int]]:
 
 def _phase_score(spec: SystemSpec, model: ModelSpec, role: Role,
                  phase: ops.Phase, tp: int, pp: int, m_tokens: int,
-                 ctx: int, temp_c: float) -> float | None:
-    """Ranking score for one (tp, pp) shape; None when it cannot fit.
+                 ctx: int, temp_c: float, kv_budget_bytes: int = 0) -> float | None:
+    """Ranking score for one (tp, pp) shape; None when it cannot fit: too few
+    groups, or its deepest stage overflows the group slice by
+    `mapping.stage_bytes`, the rule build_pd_plan checks.
 
     Prefill: one request's traversal = all layers in sequence plus a handoff
     per stage boundary. Decode: beat period of the deepest stage; transfers
@@ -288,9 +285,8 @@ def _phase_score(spec: SystemSpec, model: ModelSpec, role: Role,
     if k < pp or tp > len(pool):
         return None
     worst_layers = math.ceil(model.n_layers / pp)
-    per_layer_w = model.weights_per_layer() * model.dtype_bytes
     slice_b = chiplet.dram.capacity_bytes // chiplet.n_pe
-    if worst_layers * per_layer_w > tp * slice_b:
+    if stage_bytes(model, worst_layers, kv_budget_bytes) > tp * slice_b:
         return None
     layer_s = estimate_layer_costs(model, chiplet, phase, m_tokens, ctx, temp_c, tp)
     ar_s = 0.0
@@ -317,26 +313,30 @@ def search_plan(spec: SystemSpec, model: ModelSpec, *,
                 ref_decode_batch: int = 16,
                 temp_c: float = 65.0, seed: int = 0) -> PlanChoice:
     """Choose (tp, pp) per phase by the phase's own objective, then build the
-    full placement for the winning pair.
+    full placement for the winning pair. Only decode shapes whose every stage
+    holds kv_budget_decode_bytes beside its weights are ranked, so the
+    winner's plan holds the budget.
 
     With kv_budget_decode_bytes=None the budget is set to the headroom the
     chosen decode placement actually has, and returned for the serving config.
     """
     scores: dict[ops.Phase, list[tuple[float, int, int]]] = {}
-    for role, phase, m_tokens, ctx in (
-        (Role.PREFILL, ops.Phase.PREFILL, ref_prefill_tokens, ref_prefill_tokens),
-        (Role.DECODE, ops.Phase.DECODE, ref_decode_batch, ref_decode_ctx),
+    kv_budget = kv_budget_decode_bytes or 0
+    for role, phase, m_tokens, ctx, kv in (
+        (Role.PREFILL, ops.Phase.PREFILL, ref_prefill_tokens, ref_prefill_tokens, 0),
+        (Role.DECODE, ops.Phase.DECODE, ref_decode_batch, ref_decode_ctx, kv_budget),
     ):
         pool_n = len(pool_pe_coords(spec, role))
         cands = []
         for tp, pp in _phase_shapes(pool_n, model.n_layers):
             s = _phase_score(spec, model, role, phase, tp, pp,
-                             m_tokens, ctx, temp_c)
+                             m_tokens, ctx, temp_c, kv)
             if s is not None:
                 cands.append((s, pp, -tp))
         if not cands:
+            extra = f" plus a {kv} B KV budget" if kv else ""
             raise CapacityExceeded(
-                f"no (tp, pp) shape fits {phase.value} weights on its pool")
+                f"no (tp, pp) shape fits {phase.value} weights{extra} on its pool")
         cands.sort()
         scores[phase] = cands
     ps, ppp, ptp = scores[ops.Phase.PREFILL][0]
@@ -344,8 +344,7 @@ def search_plan(spec: SystemSpec, model: ModelSpec, *,
     plan = build_pd_plan(
         spec, model,
         tp_prefill=-ptp, pp_prefill=ppp, tp_decode=-dtp, pp_decode=dpp,
-        kv_budget_decode_bytes=kv_budget_decode_bytes or 0,
-        seed=seed, ref_tokens=ref_prefill_tokens)
+        kv_budget_decode_bytes=kv_budget, seed=seed, ref_tokens=ref_prefill_tokens)
     budget = kv_budget_decode_bytes
     if budget is None:
         budget = kv_headroom(plan.decode, spec, model)

@@ -71,7 +71,6 @@ class DramStackSpec:
     n_bank: int
     n_io_bits: int
     burst_len: int
-    page_size_bytes: int
     capacity_bytes: int
     t_rcd_ns: float
     t_cas_ns: float
@@ -85,7 +84,7 @@ class DramStackSpec:
     refresh_energy_per_cmd_pj: float = 0.0
 
     def __post_init__(self) -> None:
-        for name in ("n_layer", "n_bank", "n_io_bits", "burst_len", "page_size_bytes"):
+        for name in ("n_layer", "n_bank", "n_io_bits", "burst_len"):
             _require(getattr(self, name) >= 1, f"dram.{name} must be >= 1")
         _require(self.capacity_bytes >= 1, "dram.capacity_bytes must be >= 1")
         _require(
@@ -118,15 +117,12 @@ class PeSpec:
     sa_cols: int
     base_sa_rows: int
     sram_capacity_bytes: int
-    sram_banks: int
     vector_regs: int
-    noc_flit_bits: int
     n_mc: int
     pj_per_flop: float = 0.5
 
     def __post_init__(self) -> None:
-        for name in ("n_core", "sa_rows", "sa_cols", "base_sa_rows", "sram_banks",
-                     "vector_regs", "noc_flit_bits", "n_mc"):
+        for name in ("n_core", "sa_rows", "sa_cols", "base_sa_rows", "vector_regs", "n_mc"):
             _require(getattr(self, name) >= 1, f"pe.{name} must be >= 1")
         _require(self.sram_capacity_bytes >= 1, "pe.sram_capacity_bytes must be >= 1")
         _require(
@@ -187,14 +183,12 @@ class ChipletSpec:
     tdp_w: float
     area: AreaConsts
     power: PowerConsts
-    flops_scale: float = 1.0
 
     def __post_init__(self) -> None:
         _require(self.pe_rows >= 1 and self.pe_cols >= 1, "chiplet PE grid dims must be >= 1")
         _require(self.clock_hz > 0.0, "chiplet.clock_hz must be > 0")
         _require(self.area_budget_mm2 > 0.0, "chiplet.area_budget_mm2 must be > 0")
         _require(self.tdp_w > 0.0, "chiplet.tdp_w must be > 0")
-        _require(self.flops_scale > 0.0, "chiplet.flops_scale must be > 0")
 
     @property
     def n_pe(self) -> int:
@@ -217,15 +211,13 @@ class ChipletMetrics:
 def derive_chiplet_metrics(c: ChipletSpec) -> ChipletMetrics:
     """Peak compute, bandwidth, capacity, and power for one chiplet.
 
-    peak_flops = n_pe * n_core * 2 * sa_rows * sa_cols * clock * flops_scale
+    peak_flops = n_pe * n_core * 2 * sa_rows * sa_cols * clock
     peak_bw    = n_layer * n_bank * n_io_bits * io_clock / 8
     Peak power = dynamic at peak (compute pJ/FLOP + DRAM pJ/bit) plus the
     static table entries at the 65 C reference.
     """
     pe = c.pe
-    peak_flops = (
-        c.n_pe * pe.n_core * 2.0 * pe.sa_rows * pe.sa_cols * c.clock_hz * c.flops_scale
-    )
+    peak_flops = c.n_pe * pe.n_core * 2.0 * pe.sa_rows * pe.sa_cols * c.clock_hz
     d = c.dram
     peak_bw = d.n_layer * d.n_bank * d.n_io_bits * d.io_clock_hz / 8.0
     compute_w = peak_flops * pe.pj_per_flop * 1e-12

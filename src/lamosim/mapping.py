@@ -25,8 +25,9 @@ per layer on each stage's group plus the activation handoffs between
 consecutive stages. Stage compute is the same on every group and so adds one
 constant to every assignment; placement leaves it out and runs no dataflow
 search. Plan assembly pairs prefill groups with decode KV owners and checks
-every stage's weight shard plus KV budget against the group's DRAM slice;
-`kv_headroom` is the largest decode KV budget that check admits.
+every stage's weight shard plus KV budget share (`stage_bytes`, the one
+capacity rule, which `dse` also ranks shapes by) against the group's DRAM
+slice; `kv_headroom` is the largest decode KV budget that check admits.
 """
 
 from __future__ import annotations
@@ -544,12 +545,20 @@ def _group_capacity_bytes(members: tuple[MeshCoord, ...], spec: SystemSpec) -> i
     return total
 
 
+def stage_bytes(model: ModelSpec, layers: int, kv_budget_bytes: int = 0) -> int:
+    """DRAM a pipeline stage of `layers` layers needs on its group's slice: its
+    weight shard plus its layer share of the decode KV budget. The one
+    capacity rule: build_pd_plan checks it, kv_headroom inverts it and dse
+    ranks (tp, pp) shapes by it."""
+    return (layers * model.weights_per_layer() * model.dtype_bytes
+            + kv_budget_bytes * layers // model.n_layers)
+
+
 def kv_headroom(plan: PhasePlan, spec: SystemSpec, model: ModelSpec) -> int:
     """Largest KV budget every stage of the plan can hold beside its weights:
     the inverse of build_pd_plan's capacity check."""
-    per_layer_w = model.weights_per_layer() * model.dtype_bytes
     return max(0, min(
-        (_group_capacity_bytes(members, spec) - (hi - lo) * per_layer_w)
+        (_group_capacity_bytes(members, spec) - stage_bytes(model, hi - lo))
         * model.n_layers // (hi - lo)
         for (lo, hi), members in zip(plan.layer_bounds, plan.stage_members)))
 
@@ -570,11 +579,9 @@ def build_pd_plan(spec: SystemSpec, model: ModelSpec, *,
     decode = _phase_plan(
         spec, model, Role.DECODE, ops.Phase.DECODE, tp_decode, pp_decode,
         seed + 1, ref_tokens=1)
-    n_layers = model.n_layers
-    per_layer_w = model.weights_per_layer() * model.dtype_bytes
     for plan, kv_budget in ((prefill, 0), (decode, kv_budget_decode_bytes)):
         for s, (lo, hi) in enumerate(plan.layer_bounds):
-            need = (hi - lo) * per_layer_w + kv_budget * (hi - lo) // n_layers
+            need = stage_bytes(model, hi - lo, kv_budget)
             cap = _group_capacity_bytes(plan.stage_members[s], spec)
             if need > cap:
                 raise CapacityExceeded(

@@ -94,8 +94,8 @@ def synth_trace(source: str, n: int, rate_rps: float, seed: int,
     """Poisson arrivals at rate_rps; lognormal lengths with the family means.
 
     The lognormal takes mu = ln(mean) - sigma^2/2 so the distribution mean is
-    exactly the family mean. source may be any TRACE_MEANS key, or "custom"
-    with explicit means.
+    exactly the family mean. source may be any TRACE_MEANS key, whose means
+    are fixed, or "custom" with explicit means.
     """
     if source == "custom":
         if mean_input is None or mean_output is None:
@@ -106,6 +106,9 @@ def synth_trace(source: str, n: int, rate_rps: float, seed: int,
             mi, mo = TRACE_MEANS[source]
         except KeyError:
             raise ValueError(f"unknown trace source {source!r}") from None
+        if mean_input is not None or mean_output is not None:
+            raise ValueError(f"trace source {source!r} has fixed means; "
+                             "mean_input and mean_output need source 'custom'")
     if n < 1 or rate_rps <= 0:
         raise ValueError("need n >= 1 and rate_rps > 0")
     rng = np.random.default_rng(seed)
@@ -796,8 +799,7 @@ def roofline_check(metrics: ServingMetrics, spec: SystemSpec, plan: PdPlan,
         chiplet = spec.chiplet_at(next(iter(chips)))
         temp = _chips_temp(chips, temps)
         pe = chiplet.pe
-        peak = 2.0 * pe.sa_rows * pe.sa_cols * pe.n_core * chiplet.clock_hz \
-            * chiplet.flops_scale
+        peak = 2.0 * pe.sa_rows * pe.sa_cols * pe.n_core * chiplet.clock_hz
         bw = effective_bandwidth(chiplet.dram, temp) \
             * pe.n_mc / chiplet.dram.channels
         vpu_peak = pe.vector_regs * chiplet.clock_hz

@@ -25,7 +25,6 @@ def make_dram(**over) -> DramStackSpec:
         n_bank=8,
         n_io_bits=64,
         burst_len=8,
-        page_size_bytes=2048,
         capacity_bytes=2 * 8 * (16 << 20),
         t_rcd_ns=2.5,
         t_cas_ns=2.5,
@@ -46,9 +45,7 @@ def make_pe(**over) -> PeSpec:
         sa_cols=32,
         base_sa_rows=32,
         sram_capacity_bytes=256 << 10,
-        sram_banks=8,
         vector_regs=32,
-        noc_flit_bits=512,
         n_mc=4,
     )
     base.update(over)

@@ -329,6 +329,7 @@ SIM_INPUT_SYSTEM = ["simulate", "--system", INPUT, "--model", "model_tiny.json",
                     "--trace", "code:n=2"]
 SIM_INPUT_MODEL = ["simulate", "--system", "system_small.json", "--model", INPUT,
                    "--trace", "code:n=2"]
+DATAFLOW_INPUT_PE = ["dataflow", "--shape", "4x64x64", "--pe", INPUT]
 SIM_SMALL = ["simulate", *SMALL, "--trace", "code:n=2"]
 DSE_SYSTEM = ["dse", "--level", "system", *SMALL, "--trace", "code:n=2", "--jobs", "1"]
 DSE_CHIPLET = ["dse", "--level", "chiplet", "--base", "system_small.json", "--type", "pc"]
@@ -346,6 +347,16 @@ def edited(name: str, keys: tuple, value) -> str:
 
 def plan_text(prefill: dict) -> str:
     return json.dumps({"prefill": prefill, "decode": {"tp": 2, "pp": 1}})
+
+
+def unread_field_rows(keys: tuple) -> dict:
+    """Rows for a chiplet field no model reads, at path `keys` under a chiplet
+    type: a system JSON to `simulate` and a bare chiplet JSON to `dataflow`."""
+    system = edited("system_small.json", ("chiplet_types", "pc", *keys), 1)
+    chiplet = json.dumps(json.loads(system)["chiplet_types"]["pc"])
+    path = "".join(f".{k}" for k in keys[:-1]) + f": unknown fields ['{keys[-1]}']"
+    return {f"system_{keys[-1]}": (SIM_INPUT_SYSTEM, system, f"system.chiplet_types.pc{path}"),
+            f"chiplet_{keys[-1]}": (DATAFLOW_INPUT_PE, chiplet, f"chiplet{path}")}
 
 
 # (argv, content of the INPUT file or None, text that stderr must contain)
@@ -378,6 +389,10 @@ BAD_INPUTS = {
                              TRACE_HEADER + "0,0.0,0,3\n", "input_len"),
     "trace_spec_mean_fraction": (["simulate", *SMALL, "--trace",
                                   "custom:n=2:mean_in=8.5:mean_out=4"], None, "mean_in"),
+    "trace_spec_family_mean": (["simulate", *SMALL, "--trace", "code:n=2:mean_in=50"],
+                               None, "fixed means"),
+    "gen_trace_family_mean": (["gen-trace", "--source", "code", "--n", "4",
+                               "--mean-input", "50"], None, "fixed means"),
     "counts_zero": ([*DSE_SYSTEM, "--budget", "3", "--counts", "0,1"], None, "--counts"),
     "system_budget_one": ([*DSE_SYSTEM, "--budget", "1"], None, "--budget"),
     "chiplet_budget_zero": ([*DSE_CHIPLET, "--budget", "0"], None, "--budget"),
@@ -391,6 +406,9 @@ BAD_INPUTS = {
     "domain_zero": ([*DSE_CHIPLET, "--budget", "4", "--domain", INPUT],
                     json.dumps({"n_pe": [0]}), "n_pe"),
 }
+for keys in (("flops_scale",), ("pe", "sram_banks"), ("pe", "noc_flit_bits"),
+             ("dram", "page_size_bytes")):
+    BAD_INPUTS.update(unread_field_rows(keys))
 
 
 @pytest.mark.parametrize("argv,content,named", BAD_INPUTS.values(), ids=BAD_INPUTS.keys())

@@ -91,10 +91,9 @@ def test_grid_dims(n, dims):
 
 
 def _sample(**over):
-    base = dict(n_io_bits=64, capacity_gb=1, n_layer=2, n_bank=8,
-                page_bytes=2048, n_core=2, n_pe=4, sram_banks=8, sram_kb=256,
-                sa_rows=32, sa_cols=32, base_sa_rows=8, vector_regs=32,
-                noc_flit_bits=512)
+    base = dict(n_io_bits=64, capacity_gb=1, n_layer=2, n_bank=8, n_core=2,
+                n_pe=4, sram_kb=256, sa_rows=32, sa_cols=32, base_sa_rows=8,
+                vector_regs=32)
     base.update(over)
     return base
 
@@ -217,6 +216,29 @@ def test_search_plan_explicit_budget_is_passed_through(system, tiny_model):
                              ref_prefill_tokens=8, ref_decode_ctx=8,
                              ref_decode_batch=4)
     assert choice.kv_budget_bytes == 1 << 20
+
+
+def test_search_plan_ranks_only_decode_shapes_holding_the_budget(system, tiny_model):
+    """A budget the unconstrained winner cannot hold, but some shape can, picks
+    the best-scored decode shape whose built plan holds it."""
+    kw = dict(ref_prefill_tokens=8, ref_decode_ctx=8, ref_decode_batch=4)
+    free = dse.search_plan(system, tiny_model, **kw)
+    shapes = dse._phase_shapes(len(mapping.pool_pe_coords(system, Role.DECODE)),
+                               tiny_model.n_layers)
+    headroom = {}
+    for tp, pp in shapes:
+        plan = mapping.build_pd_plan(system, tiny_model, tp_prefill=1, pp_prefill=1,
+                                     tp_decode=tp, pp_decode=pp, kv_budget_decode_bytes=0)
+        headroom[tp, pp] = mapping.kv_headroom(plan.decode, system, tiny_model)
+    assert free.kv_budget_bytes < max(headroom.values())
+    budget = (free.kv_budget_bytes + max(headroom.values())) // 2
+    choice = dse.search_plan(system, tiny_model, kv_budget_decode_bytes=budget, **kw)
+    want = min((dse._phase_score(system, tiny_model, Role.DECODE, ops.Phase.DECODE,
+                                 tp, pp, 4, 8, 65.0), pp, -tp)
+               for (tp, pp), h in headroom.items() if h >= budget)
+    assert (choice.decode_pp, -choice.decode_tp) == want[1:]
+    assert choice.kv_budget_bytes == budget
+    assert mapping.kv_headroom(choice.plan.decode, system, tiny_model) >= budget
 
 
 def test_search_plan_raises_when_nothing_fits(system):

@@ -1,15 +1,28 @@
-"""Source hygiene: every top-level import in the package is used, and
-importing the CLI loads no process-pool machinery."""
+"""Source hygiene: every top-level import in the package is used, every
+config field is read by a model, and importing the CLI loads no process-pool
+machinery."""
 
 from __future__ import annotations
 
 import ast
+import dataclasses
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import lamosim
+from lamosim.hwspec import (
+    AreaConsts,
+    ChipletSpec,
+    CoolingSpec,
+    DramStackSpec,
+    FlowLevel,
+    ModelSpec,
+    PeSpec,
+    PowerConsts,
+    SystemSpec,
+)
 
 SRC = Path(lamosim.__file__).parent
 
@@ -35,6 +48,55 @@ def test_unused_imports_detector():
 def test_no_unused_top_level_imports():
     found = {p.name: unused_imports(p.read_text()) for p in sorted(SRC.glob("*.py"))}
     assert {name: names for name, names in found.items() if names} == {}
+
+
+def attribute_reads(source: str) -> set[str]:
+    """Attribute names the module reads, outside every `__post_init__`."""
+    reads: set[str] = set()
+
+    def visit(node: ast.AST) -> None:
+        if isinstance(node, ast.FunctionDef) and node.name == "__post_init__":
+            return
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            reads.add(node.attr)
+        for child in ast.iter_child_nodes(node):
+            visit(child)
+
+    visit(ast.parse(source))
+    return reads
+
+
+CONFIG_SPECS = (DramStackSpec, PeSpec, ChipletSpec, AreaConsts, PowerConsts,
+                FlowLevel, CoolingSpec, SystemSpec, ModelSpec)
+
+# Config fields that no model reads, each with the reason it stays.
+UNREAD_FIELDS_KEPT = {
+    "ModelSpec.name": "a label naming the model; no result depends on it",
+    "ModelSpec.attn_variant": "checked against n_kv_heads at parse, where "
+                              '"mla", which no cost model implements, exits 2',
+}
+
+
+def test_attribute_reads_detector():
+    src = ("class A:\n"
+           "    def __post_init__(self):\n"
+           "        assert self.x > 0\n"
+           "    def f(self):\n"
+           "        self.z = 1\n"
+           "        return self.y\n")
+    assert attribute_reads(src) == {"y"}
+
+
+def test_every_config_field_is_read_by_a_model():
+    """A config value the models do not read would be accepted and ignored.
+    Validation (`__post_init__`) and the CLI's output writers do not count
+    as reads."""
+    reads = set().union(*(attribute_reads(p.read_text())
+                          for p in sorted(SRC.glob("*.py")) if p.name != "cli.py"))
+    unread = [f"{tp.__name__}.{f.name}" for tp in CONFIG_SPECS
+              for f in dataclasses.fields(tp)
+              if f.name not in reads and f"{tp.__name__}.{f.name}" not in UNREAD_FIELDS_KEPT]
+    assert unread == []
 
 
 def test_cli_import_loads_no_process_pool_modules():

@@ -58,6 +58,8 @@ def test_trace_custom_and_unknown():
     assert sum(r.input_len for r in tr) / 100 == pytest.approx(64, rel=0.2)
     with pytest.raises(ValueError):
         synth_trace("chat", 10, 1.0, seed=0)
+    with pytest.raises(ValueError, match="fixed means"):
+        synth_trace("code", 10, 1.0, seed=0, mean_input=50)
 
 
 def test_trace_csv_roundtrip(tmp_path):
