@@ -75,7 +75,6 @@ class UsageError(Exception):
 
 _INFEASIBLE = (
     dataflow.NoFeasibleMapping,
-    NoFeasibleDesign,
     CapacityExceeded,
     SystemValidationError,
     EmptyGroup,

@@ -27,7 +27,8 @@ constant to every assignment; placement leaves it out and runs no dataflow
 search. Plan assembly pairs prefill groups with decode KV owners and checks
 every stage's weight shard plus KV budget share (`stage_bytes`, the one
 capacity rule, which `dse` also ranks shapes by) against the group's DRAM
-slice; `kv_headroom` is the largest decode KV budget that check admits.
+slice; `kv_headroom` inverts that check, to within the bytes its floor
+division admits.
 """
 
 from __future__ import annotations
@@ -555,8 +556,12 @@ def stage_bytes(model: ModelSpec, layers: int, kv_budget_bytes: int = 0) -> int:
 
 
 def kv_headroom(plan: PhasePlan, spec: SystemSpec, model: ModelSpec) -> int:
-    """Largest KV budget every stage of the plan can hold beside its weights:
-    the inverse of build_pd_plan's capacity check."""
+    """Largest KV budget B whose exact layer share B * L / N fits beside the
+    weights on every stage of the plan (L the stage's layers, N the model's):
+    the inverse of build_pd_plan's capacity check. That check floors the
+    share (stage_bytes), so it also admits a few larger budgets, each fewer
+    than N/L + 1 bytes above this one, L being the fewest layers any stage
+    holds."""
     return max(0, min(
         (_group_capacity_bytes(members, spec) - stage_bytes(model, hi - lo))
         * model.n_layers // (hi - lo)

@@ -1,18 +1,24 @@
 """Event-driven serving simulator for disaggregated prefill/decode.
 
 Requests flow arrival -> prefill pipeline -> KV migration -> decode pool.
-Prefill admits FCFS batches of up to max_prefill_batch requests whenever its
-first stage goes idle; a batch traverses the pipeline stages in order, with
-activation handoffs between consecutive stage centers. KV pages migrate per
-layer as soon as that layer's QKV projection has produced them, serialized
-through one FIFO per (source chiplet, destination chiplet) pair.
+Each phase runs on its own pool, and both run the same stage pipeline: a
+batch enters the first stage whenever that stage goes idle, traverses the
+stages in order with an activation handoff between consecutive stage
+centers, and waits in a stage's queue while that stage is busy. The phases
+differ only in how a batch forms, the rows it hands on, and what its last
+stage does:
 
-Decode runs iteration-level batching: whenever its first stage goes idle, a
-beat forms from every resident request not already in flight (continuous
-mode) or from the frozen batch (static mode), each contributing one token
-against its own context. Projections batch across the beat; attention runs
-per request. Context lengths round up to len_bucket for cost lookups, which
-is the same as simulating padded KV pages.
+- Prefill admits FCFS jobs of up to max_prefill_batch requests, hands on one
+  row per prompt token, and emits each request's first token at the last
+  stage. KV pages migrate per layer as soon as that layer's QKV projection
+  has produced them, serialized through one FIFO per (source chiplet,
+  destination chiplet) pair.
+- Decode runs iteration-level batching: a beat forms from every resident
+  request not already in flight (continuous mode) or from the frozen batch
+  (static mode), each contributing one token against its own context, and
+  hands on one row per request. Projections batch across the beat;
+  attention runs per request. Context lengths round up to len_bucket for
+  cost lookups, which is the same as simulating padded KV pages.
 
 Latency and energy both come from the per-PE dataflow search, the star
 all-reduce, and the link model; the simulator only adds queueing on top.
@@ -25,12 +31,12 @@ distinct (memoized) stage costs, so neither grows with the trace's length.
 
 The engine pops (time, sequence, method, arguments) events off a heap, so
 events at equal times run in the order they were scheduled. A prefill job or
-decode beat computes its batch key once, when it forms, and carries that
-key's list of per-stage costs, filled the first time a batch with that key
-reaches each stage. A stage cost is built from per-stage memos of operator
-costs: the projections and all-reduces per batch token count, and each
-request's attention per (new tokens, context). Their latencies and energies
-are added in op order, so the cost equals costing every op of
+decode beat computes its handoff rows and batch key once, when it forms, and
+carries that key's list of per-stage costs, filled the first time a batch
+with that key reaches each stage. A stage cost is built from per-stage memos
+of operator costs: the projections and all-reduces per batch token count,
+and each request's attention per (new tokens, context). Their latencies and
+energies are added in op order, so the cost equals costing every op of
 ops.layer_ops in turn. Handoff delay and energy are memoized per (stage,
 bytes). A stage execution thus costs work in the group width, not the beat
 size.
@@ -311,14 +317,16 @@ def _chips_temp(chips: set[tuple[int, int]],
 
 class _Batch:
     """Requests crossing one phase's pipeline together: a prefill job or a
-    decode beat. Its contexts stay fixed while it is in flight, so its batch
-    key, and the list of that key's stage costs, hold for every stage."""
+    decode beat. Its contexts stay fixed while it is in flight, so its
+    handoff rows (activation rows sent from each stage to the next), its
+    batch key, and the list of that key's stage costs hold for every stage."""
 
-    __slots__ = ("states", "key", "costs")
+    __slots__ = ("states", "rows", "key", "costs")
 
-    def __init__(self, states: list[_ReqState], key: tuple[tuple[int, int], ...],
-                 costs: list[_StageCost | None]):
+    def __init__(self, states: list[_ReqState], rows: int,
+                 key: tuple[tuple[int, int], ...], costs: list[_StageCost | None]):
         self.states = states
+        self.rows = rows
         self.key = key
         self.costs = costs
 
@@ -328,7 +336,7 @@ class _PhaseCtx:
     each stage's busy flag and queue of batches waiting for it, and the memos
     of its stage costs, operator groups and activation handoffs."""
 
-    def __init__(self, spec: SystemSpec, model: ModelSpec, plan: PhasePlan,
+    def __init__(self, spec: SystemSpec, plan: PhasePlan,
                  temps: float | Mapping[tuple[int, int], float]):
         self.plan = plan
         self.phase = plan.phase
@@ -355,12 +363,12 @@ class _PhaseCtx:
         # (stage, bytes) -> (delay, energy) of the handoff to the next stage
         self.handoffs: dict[tuple[int, int], tuple[float, float]] = {}
 
-    def batch(self, states: list[_ReqState],
+    def batch(self, states: list[_ReqState], rows: int,
               key: tuple[tuple[int, int], ...]) -> _Batch:
         costs = self.costs.get(key)
         if costs is None:
             costs = self.costs[key] = [None] * self.pp
-        return _Batch(states, key, costs)
+        return _Batch(states, rows, key, costs)
 
 
 class _Sim:
@@ -371,8 +379,8 @@ class _Sim:
         self.spec = spec
         self.model = model
         self.cfg = cfg
-        self.pre = _PhaseCtx(spec, model, plan.prefill, temps)
-        self.dec = _PhaseCtx(spec, model, plan.decode, temps)
+        self.pre = _PhaseCtx(spec, plan.prefill, temps)
+        self.dec = _PhaseCtx(spec, plan.decode, temps)
         # decode step t attends over prompt + t generated tokens
         self.states = [_ReqState(req=r, ctx=r.input_len + 1, left=r.output_len - 1)
                        for r in sorted(trace, key=lambda r: (r.arrival_s, r.rid))]
@@ -531,6 +539,42 @@ class _Sim:
         self.comm_energy += got[1]
         return got[0]
 
+    # -- the stage pipeline, the same for both phases --
+    # A batch enters stage 0 only when stage 0 is free (_try_prefill_admit and
+    # _try_decode_start check), and _enqueue only takes it to later stages, so
+    # stage 0's queue stays empty in both phases. A freed stage therefore
+    # starts its next queued batch or, at stage 0, admits a new one.
+
+    def _start_stage(self, ctx: _PhaseCtx, s: int, batch: _Batch) -> None:
+        ctx.busy[s] = True
+        cost = batch.costs[s] or self._stage_cost(ctx, s, batch)
+        self._run_stage(ctx, s, cost)
+        if ctx is self.pre:
+            self._schedule_kv_sends(s, batch.states, cost)
+        self.at(self.now + cost.duration_s, self._end_stage, ctx, s, batch)
+
+    def _end_stage(self, ctx: _PhaseCtx, s: int, batch: _Batch) -> None:
+        ctx.busy[s] = False
+        if s + 1 < ctx.pp:
+            delay = self._handoff(ctx, s, batch.rows * self.act_bytes_per_token)
+            self.at(self.now + delay, self._enqueue, ctx, s + 1, batch)
+        elif ctx is self.pre:
+            self._finish_prefill(batch.states)
+        else:
+            self._finish_beat(batch.states)
+        if ctx.queues[s]:
+            self._start_stage(ctx, s, ctx.queues[s].popleft())
+        elif s == 0 and ctx is self.pre:
+            self._try_prefill_admit()
+        elif s == 0:
+            self._try_decode_start()
+
+    def _enqueue(self, ctx: _PhaseCtx, s: int, batch: _Batch) -> None:
+        if ctx.busy[s]:
+            ctx.queues[s].append(batch)
+        else:
+            self._start_stage(ctx, s, batch)
+
     # -- prefill --
 
     def _arrive(self, st: _ReqState) -> None:
@@ -546,33 +590,8 @@ class _Sim:
         key = tuple(sorted(
             (_bucket(st.req.input_len, b), _bucket(st.req.input_len, b))
             for st in states))
-        self._start_prefill_stage(0, self.pre.batch(states, key))
-
-    def _start_prefill_stage(self, s: int, job: _Batch) -> None:
-        self.pre.busy[s] = True
-        cost = job.costs[s] or self._stage_cost(self.pre, s, job)
-        self._run_stage(self.pre, s, cost)
-        self._schedule_kv_sends(s, job.states, cost)
-        self.at(self.now + cost.duration_s, self._end_prefill_stage, s, job)
-
-    def _end_prefill_stage(self, s: int, job: _Batch) -> None:
-        self.pre.busy[s] = False
-        if s + 1 < self.pre.pp:
-            act = sum(st.req.input_len for st in job.states) * self.act_bytes_per_token
-            delay = self._handoff(self.pre, s, act)
-            self.at(self.now + delay, self._enqueue_prefill, s + 1, job)
-        else:
-            self._finish_prefill(job.states)
-        if s == 0:
-            self._try_prefill_admit()
-        elif self.pre.queues[s]:
-            self._start_prefill_stage(s, self.pre.queues[s].popleft())
-
-    def _enqueue_prefill(self, s: int, job: _Batch) -> None:
-        if self.pre.busy[s]:
-            self.pre.queues[s].append(job)
-        else:
-            self._start_prefill_stage(s, job)
+        rows = sum(st.req.input_len for st in states)
+        self._start_stage(self.pre, 0, self.pre.batch(states, rows, key))
 
     def _finish_prefill(self, states: list[_ReqState]) -> None:
         for st in states:
@@ -659,32 +678,7 @@ class _Sim:
         self.dec_beats_active += 1
         b = self.cfg.len_bucket
         key = tuple(sorted((1, _bucket(st.ctx, b)) for st in beat))
-        self._start_decode_stage(0, self.dec.batch(beat, key))
-
-    def _start_decode_stage(self, s: int, beat: _Batch) -> None:
-        self.dec.busy[s] = True
-        cost = beat.costs[s] or self._stage_cost(self.dec, s, beat)
-        self._run_stage(self.dec, s, cost)
-        self.at(self.now + cost.duration_s, self._end_decode_stage, s, beat)
-
-    def _end_decode_stage(self, s: int, beat: _Batch) -> None:
-        dec = self.dec
-        dec.busy[s] = False
-        if s + 1 < dec.pp:
-            delay = self._handoff(dec, s, len(beat.states) * self.act_bytes_per_token)
-            self.at(self.now + delay, self._enqueue_decode, s + 1, beat)
-        else:
-            self._finish_beat(beat.states)
-        if dec.queues[s]:
-            self._start_decode_stage(s, dec.queues[s].popleft())
-        elif s == 0:  # only a free first stage can take a new beat
-            self._try_decode_start()
-
-    def _enqueue_decode(self, s: int, beat: _Batch) -> None:
-        if self.dec.busy[s]:
-            self.dec.queues[s].append(beat)
-        else:
-            self._start_decode_stage(s, beat)
+        self._start_stage(self.dec, 0, self.dec.batch(beat, len(beat), key))
 
     def _finish_beat(self, beat: list[_ReqState]) -> None:
         self.dec_beats_active -= 1

@@ -1,11 +1,13 @@
 """Source hygiene: every top-level import in the package is used, every
 config field is read by a model, and importing the CLI loads no process-pool
-machinery."""
+machinery but every module the benchmark's tracer wraps."""
 
 from __future__ import annotations
 
 import ast
 import dataclasses
+import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -99,12 +101,30 @@ def test_every_config_field_is_read_by_a_model():
     assert unread == []
 
 
-def test_cli_import_loads_no_process_pool_modules():
-    """Only `dse --level system` starts a process pool, and it imports one
-    itself, so `simulate`, `dataflow` and `gen-trace` never load it."""
-    code = ("import sys, lamosim.cli; print(sorted(m for m in sys.modules "
-            "if m.startswith(('multiprocessing', 'concurrent'))))")
+def modules_after_cli_import() -> list[str]:
+    """The modules a fresh interpreter holds after `import lamosim.cli`."""
+    code = "import json, sys, lamosim.cli; print(json.dumps(sorted(sys.modules)))"
     env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
-    assert out.strip() == "[]"
+    return json.loads(out)
+
+
+def test_cli_import_loads_no_process_pool_modules():
+    """Only `dse --level system` starts a process pool, and it imports one
+    itself, so `simulate`, `dataflow` and `gen-trace` never load it."""
+    assert [m for m in modules_after_cli_import()
+            if m.startswith(("multiprocessing", "concurrent"))] == []
+
+
+def test_cli_import_loads_every_traced_module():
+    """The benchmark's tracer (bench/tracer.py) wraps the functions its SPANS
+    name in the modules `import lamosim.cli` has loaded, so a module that
+    import leaves out reads there as a renamed function."""
+    spec = importlib.util.spec_from_file_location(
+        "bench_tracer", SRC.parents[1] / "bench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    traced = {mod for targets in tracer.SPANS.values() for mod, _ in targets}
+    assert traced
+    assert sorted(traced - set(modules_after_cli_import())) == []

@@ -33,6 +33,7 @@ from lamosim.mapping import (
     flat_xy,
     group_center_coord,
     grouping_objective,
+    kv_headroom,
     place_stages,
     pool_pe_coords,
     tp_group,
@@ -363,6 +364,32 @@ def test_capacity_exceeded(tiny_model, system):
             system, tiny_model,
             tp_prefill=2, pp_prefill=1, tp_decode=2, pp_decode=1,
             kv_budget_decode_bytes=huge, ref_tokens=16)
+
+
+@pytest.mark.parametrize("n_layers, pp", [(2, 2), (5, 3), (7, 3)])
+def test_build_pd_plan_admits_kv_headroom(system, n_layers, pp):
+    """build_pd_plan admits kv_headroom's budget. It floors each stage's
+    layer share of the budget, so it also admits a few larger budgets, each
+    fewer than N/L + 1 bytes above the headroom (N the model's layers, L the
+    fewest any stage holds)."""
+    model = make_model(n_layers=n_layers)
+
+    def build(kv_budget):
+        return build_pd_plan(system, model, tp_prefill=1, pp_prefill=1, tp_decode=1,
+                             pp_decode=pp, kv_budget_decode_bytes=kv_budget, ref_tokens=8)
+
+    plan = build(0)
+    headroom = kv_headroom(plan.decode, system, model)
+    assert build(headroom) == plan
+    fewest = min(hi - lo for lo, hi in plan.decode.layer_bounds)
+    for above in range(1, n_layers + 2):
+        try:
+            build(headroom + above)
+        except CapacityExceeded:
+            break
+    else:
+        pytest.fail("no budget rejected within N + 1 bytes of the headroom")
+    assert above - 1 < n_layers / fewest + 1
 
 
 def test_big_model_weights_trigger_capacity(system):

@@ -348,12 +348,15 @@ def test_energy_includes_static_floor(tiny_model, system):
 
 
 # --- engine oracle ----------------------------------------------------------------
-# Reference outputs, recorded as literals from the engine that scheduled one
-# closure per event and costed every operator of every new stage cost on its
-# own. The engine must reproduce them exactly. Each case is (plan shape,
-# SimConfig fields, temperatures); together they cover continuous and static
-# batching, KV-budget waits, a two-stage prefill sending KV per layer, decode
-# pp 2 and 4, and per-chip temperatures in different refresh bins.
+# Reference outputs, recorded as literals from earlier engines: the first five
+# from the one that scheduled one closure per event and costed every operator
+# of every new stage cost on its own, the last from the one that kept a
+# separate copy of the stage pipeline per phase. The engine must reproduce
+# them exactly. Each case is (plan shape, SimConfig fields, temperatures);
+# together they cover continuous and static batching, KV-budget waits, a
+# two-stage prefill sending KV per layer, decode pp 2 and 4, both pipelines
+# queueing batches in one trace, and per-chip temperatures in different
+# refresh bins.
 
 _ORACLE_PLAN = dict(tp_prefill=2, pp_prefill=1, tp_decode=2, pp_decode=2)
 _ORACLE_TEMPS = {(0, 0): 60.0, (1, 0): 92.0, (2, 0): 75.0, (3, 0): 101.0}
@@ -363,6 +366,8 @@ _ORACLE_CASES = {
     "kv_wait": (_ORACLE_PLAN, {"kv_budget_bytes": 8192}, 65.0),
     "pp_prefill2": ({**_ORACLE_PLAN, "tp_prefill": 4, "pp_prefill": 2}, {}, _ORACLE_TEMPS),
     "decode_pp4": ({**_ORACLE_PLAN, "pp_decode": 4}, {}, _ORACLE_TEMPS),
+    "pp_prefill2_decode_pp4": ({**_ORACLE_PLAN, "tp_prefill": 4, "pp_prefill": 2,
+                                "pp_decode": 4}, {}, _ORACLE_TEMPS),
 }
 
 
@@ -522,6 +527,34 @@ _ORACLE = {
             ((3, 0), 9.16070399999999e-07),
         ],
         "op_records": 486,
+    },
+    "pp_prefill2_decode_pp4": {
+        "summary": {
+            "requests": 6, "total_tokens": 42, "makespan_s": 0.00440367521787641,
+            "throughput_tok_s": 9537.488103006315, "energy_j": 0.20697964887859124,
+            "tokens_per_joule": 202.91850057507867, "kv_overflow": False,
+            "ttft_p50_s": 1.691845320633497e-05, "ttft_p95_s": 2.252299320633518e-05,
+            "tbt_p50_s": 0.0002723049217436175, "tbt_p95_s": 0.0003322978447788021,
+            "e2e_p95_s": 0.0037194598658740513,
+        },
+        "requests": [
+            (1.691845320633497e-05, 0.00023518524093097694, 0.0007224741759992658, 0.0),
+            (1.6918413206334915e-05, 0.0002468360968445144, 0.0037194598658740513, 0.0),
+            (9.104193206335058e-06, 0.00027416223158149004, 0.0019282398142767652, 0.0),
+            (1.9419676766489757e-05, 0.0003322978447788021, 0.0006840153663240939, 0.0),
+            (1.7693494914677215e-05, 0.0002723049217436175, 0.0016515230253763822, 0.0),
+            (2.252299320633518e-05, 0.00029959751207604804, 0.0009213155294344794, 0.0),
+        ],
+        "energy_j": 0.20697964887859124,
+        "chip_compute_j": [
+            ((0, 0), 5.43328e-07), ((1, 0), 5.43328e-07), ((2, 0), 7.203200000000003e-08),
+            ((3, 0), 7.203200000000003e-08),
+        ],
+        "chip_dram_j": [
+            ((0, 0), 1.8923519999999994e-06), ((1, 0), 1.8923519999999994e-06),
+            ((2, 0), 9.16070399999999e-07), ((3, 0), 9.16070399999999e-07),
+        ],
+        "op_records": 536,
     },
 }
 
