@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -32,6 +33,7 @@ from typing import Any, Callable
 from . import __version__, dataflow
 from .compute import GemmShape
 from .comm import EmptyGroup
+from .dram import RefreshStall
 from .dse import (
     DEFAULT_CHIPLET_DOMAIN,
     NoFeasibleDesign,
@@ -80,6 +82,7 @@ _INFEASIBLE = (
     EmptyGroup,
     TooManyStages,
     KvOverflow,
+    RefreshStall,
 )
 
 
@@ -621,14 +624,20 @@ def cmd_dse(args) -> int:
 
 
 def _at_least(kind: type, low):
-    """argparse type: a `kind` number no smaller than `low`."""
+    """argparse type: a `kind` number no smaller than `low`; a float must
+    also be finite."""
     def parse(text: str):
         value = kind(text)
+        if kind is float and not math.isfinite(value):
+            raise argparse.ArgumentTypeError(f"must be finite, got {text}")
         if value < low:
             raise argparse.ArgumentTypeError(f"must be >= {low}, got {text}")
         return value
     parse.__name__ = kind.__name__  # argparse names it in "invalid int value"
     return parse
+
+
+_finite = _at_least(float, -math.inf)  # argparse type: any finite float
 
 
 def _add_batching_flags(p: argparse.ArgumentParser) -> None:
@@ -656,7 +665,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="chiplet type name when --pe is a system JSON")
     p.add_argument("--model", default=None, help="model JSON; sets dtype")
     p.add_argument("--dtype-bytes", type=_at_least(int, 1), default=2)
-    p.add_argument("--temp-c", type=float, default=65.0)
+    p.add_argument("--temp-c", type=_finite, default=65.0)
     p.add_argument("--policy", choices=sorted(_POLICY_FLAG), default="d3",
                    help="d3 searches all reuse policies; others fix one")
     p.add_argument("--dump-all", action="store_true",
@@ -673,7 +682,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--plan", default="auto",
                    help='"auto" or a JSON file with per-phase {"tp", "pp"}')
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--temp-c", type=float, default=65.0)
+    p.add_argument("--temp-c", type=_finite, default=65.0)
     p.add_argument("--thermal", action="store_true",
                    help="couple serving with the thermal fixed point")
     _add_batching_flags(p)
@@ -684,7 +693,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--source", required=True,
                    choices=sorted(TRACE_MEANS) + ["custom"])
     p.add_argument("--n", type=int, default=100)
-    p.add_argument("--rate", type=float, default=1.0, help="requests per second")
+    p.add_argument("--rate", type=_finite, default=1.0, help="requests per second")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--mean-input", type=int, default=None)
     p.add_argument("--mean-output", type=int, default=None)
@@ -714,11 +723,11 @@ def build_parser() -> argparse.ArgumentParser:
                         "default: the template's own types")
     p.add_argument("--counts", action="append", default=None, metavar="N_PC,N_DC",
                    help="pool sizes to explore (repeatable); default: the template's")
-    p.add_argument("--slo-ttft", type=float, default=None, help="p95 TTFT bound, s")
-    p.add_argument("--slo-tbt", type=float, default=None, help="p95 TBT bound, s")
+    p.add_argument("--slo-ttft", type=_finite, default=None, help="p95 TTFT bound, s")
+    p.add_argument("--slo-tbt", type=_finite, default=None, help="p95 TBT bound, s")
     p.add_argument("--wave", type=_at_least(int, 1), default=8,
                    help="proposals per annealing wave")
-    p.add_argument("--temp-c", type=float, default=65.0)
+    p.add_argument("--temp-c", type=_finite, default=65.0)
     p.add_argument("--jobs", type=_at_least(int, 1), default=None,
                    help="worker processes; default: available cores")
     _add_batching_flags(p)

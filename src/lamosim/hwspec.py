@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Any, get_args, get_origin, get_type_hints
@@ -204,12 +205,11 @@ class ChipletMetrics:
 
     peak_flops: float
     peak_bw_bytes: float
-    capacity_bytes: int
     peak_power_w: float
 
 
 def derive_chiplet_metrics(c: ChipletSpec) -> ChipletMetrics:
-    """Peak compute, bandwidth, capacity, and power for one chiplet.
+    """Peak compute, bandwidth and power for one chiplet.
 
     peak_flops = n_pe * n_core * 2 * sa_rows * sa_cols * clock
     peak_bw    = n_layer * n_bank * n_io_bits * io_clock / 8
@@ -230,7 +230,6 @@ def derive_chiplet_metrics(c: ChipletSpec) -> ChipletMetrics:
     return ChipletMetrics(
         peak_flops=peak_flops,
         peak_bw_bytes=peak_bw,
-        capacity_bytes=d.capacity_bytes,
         peak_power_w=peak_power,
     )
 
@@ -445,7 +444,8 @@ def parse_json(tp: Any, obj: Any, ctx: str) -> Any:
     A dataclass takes exactly its own fields; `tuple[X, ...]` reads a list,
     `dict[str, X]` an object, an enum its value. An int rejects fractions and
     booleans but reads an integer-valued float such as 2.0 as 2. A float takes
-    any non-boolean number as given, so an int stays an int. The one dict not
+    any finite non-boolean number as given, so an int stays an int; the NaN
+    and Infinity literals json.loads reads are rejected. The one dict not
     keyed by strings, SystemSpec.placement, reads a list of coordinate entries.
     """
     origin = get_origin(tp)
@@ -473,6 +473,8 @@ def parse_json(tp: Any, obj: Any, ctx: str) -> Any:
             return int(obj)
         if isinstance(obj, bool) or not isinstance(obj, (int, float) if tp is float else tp):
             raise ConfigError(f"{ctx}: expected {tp.__name__}, got {obj!r}")
+        if isinstance(obj, float) and not math.isfinite(obj):
+            raise ConfigError(f"{ctx}: expected a finite number, got {obj!r}")
         return obj
     if issubclass(tp, Enum):
         try:

@@ -26,8 +26,9 @@ Prefill itself emits the first token, so ttft is the prefill pipeline exit
 and e2e == ttft + sum of decode gaps by construction.
 
 Stage executions add their energy into per-chiplet compute and DRAM totals
-for the thermal model; the roofline audit reads the operator records of the
-distinct (memoized) stage costs, so neither grows with the trace's length.
+for the thermal model; the roofline audit reads each distinct operator record
+once, in the order it was first built, so neither grows with the trace's
+length.
 
 The engine pops (time, sequence, method, arguments) events off a heap, so
 events at equal times run in the order they were scheduled. A prefill job or
@@ -80,8 +81,8 @@ class Request:
     def __post_init__(self) -> None:
         if self.input_len < 1 or self.output_len < 1:
             raise ValueError("input_len and output_len must be >= 1")
-        if self.arrival_s < 0:
-            raise ValueError("arrival_s must be >= 0")
+        if not 0 <= self.arrival_s < math.inf:  # also false for NaN
+            raise ValueError("arrival_s must be finite and >= 0")
 
 
 # (mean input tokens, mean output tokens) per workload family
@@ -115,8 +116,8 @@ def synth_trace(source: str, n: int, rate_rps: float, seed: int,
         if mean_input is not None or mean_output is not None:
             raise ValueError(f"trace source {source!r} has fixed means; "
                              "mean_input and mean_output need source 'custom'")
-    if n < 1 or rate_rps <= 0:
-        raise ValueError("need n >= 1 and rate_rps > 0")
+    if n < 1 or not 0 < rate_rps < math.inf:  # also false for NaN
+        raise ValueError("need n >= 1 and a finite rate_rps > 0")
     rng = np.random.default_rng(seed)
     arrivals = np.cumsum(rng.exponential(1.0 / rate_rps, n))
     mu_i = math.log(mi) - _LEN_SIGMA ** 2 / 2
@@ -181,7 +182,7 @@ class OpRecord:
     """One executed operator on one PE shard (one layer's worth)."""
 
     phase: ops.Phase
-    kind: str  # "gemm" | "vpu"
+    kind: ops.OpKind  # GEMM or VPU
     tag: str
     flops: int
     dram_bytes: int
@@ -208,7 +209,7 @@ class ServingMetrics:
     energy_j: float
     tokens_per_joule: float
     kv_overflow: bool
-    op_records: tuple[OpRecord, ...]  # one layer of each distinct stage cost
+    op_records: tuple[OpRecord, ...]  # each distinct record once, first built first
     chip_compute_j: dict[tuple[int, int], float]  # dynamic energy per chiplet
     chip_dram_j: dict[tuple[int, int], float]
     # the engine's work, left out of summary_dict: events run, stage executions
@@ -279,12 +280,11 @@ class _StageCost:
     shard_dram_j: float
     shard_j: float  # shard_compute_j + shard_dram_j
     comm_j: float  # collectives, whole group, whole stage
-    records: tuple[OpRecord, ...]  # one layer's ops
 
 
 # One operator group's per-op costs in op order, each (latency, compute J,
-# DRAM J, collective J, is the qkv projection), and its operator records.
-_OpGroup = tuple[tuple[tuple[float, float, float, float, bool], ...], tuple[OpRecord, ...]]
+# DRAM J, collective J, is the qkv projection).
+_OpGroup = tuple[tuple[float, float, float, float, bool], ...]
 
 
 @dataclass
@@ -409,7 +409,7 @@ class _Sim:
         self.dec_beats_active = 0
         self.bridge_free: dict[tuple[tuple[int, int], tuple[int, int]], float] = {}
 
-        self._distinct: list[_StageCost] = []  # in the order they were built
+        self.records: dict[OpRecord, None] = {}  # distinct, in build order
         self.dyn_j = 0.0
         self.chip_compute_j: dict[tuple[int, int], float] = defaultdict(float)
         self.chip_dram_j: dict[tuple[int, int], float] = defaultdict(float)
@@ -435,11 +435,10 @@ class _Sim:
     # -- costs --
 
     def _op_group(self, ctx: _PhaseCtx, s: int, op_list: list[ops.OpSpec]) -> _OpGroup:
-        """Each operator's latency and energy on one of stage s's PEs, and the
-        records of its GEMM and VPU ops."""
+        """Each operator's latency and energy on one of stage s's PEs. The
+        records of its GEMM and VPU ops go into the run's distinct records."""
         chiplet = ctx.chiplet
         costs = []
-        records = []
         for op in op_list:
             comp_j = dram_j = comm_j = 0.0
             if op.kind is ops.OpKind.GEMM:
@@ -449,12 +448,12 @@ class _Sim:
                 dt = res.cost.latency_s
                 comp_j = res.cost.compute.energy_j
                 dram_j = res.cost.energy_j - res.cost.compute.energy_j
-                records.append(OpRecord(ctx.phase, "gemm", op.tag, op.shape.flops,
-                                        res.cost.dram_bytes, dt))
+                self.records[OpRecord(ctx.phase, op.kind, op.tag, op.shape.flops,
+                                      res.cost.dram_bytes, dt)] = None
             elif op.kind is ops.OpKind.VPU:
                 dt = vpu_cycles(op.elements, chiplet.pe) / chiplet.clock_hz
                 comp_j = op.elements * chiplet.pe.pj_per_flop * 1e-12
-                records.append(OpRecord(ctx.phase, "vpu", op.tag, op.elements, 0, dt))
+                self.records[OpRecord(ctx.phase, op.kind, op.tag, op.elements, 0, dt)] = None
             elif ctx.plan.tp > 1:  # all-reduce on the stage's group
                 cc = allreduce_cost(ctx.members[s], ctx.centers[s], op.msg_bytes, self.spec)
                 dt = cc.latency_s
@@ -462,7 +461,7 @@ class _Sim:
             else:
                 dt = 0.0
             costs.append((dt, comp_j, dram_j, comm_j, op.tag == "qkv"))
-        return tuple(costs), tuple(records)
+        return tuple(costs)
 
     def _stage_cost(self, ctx: _PhaseCtx, s: int, batch: _Batch) -> _StageCost:
         """Build stage s's cost for the batch's key and store it in the
@@ -487,8 +486,7 @@ class _Sim:
             groups.append(g)
         groups.append(proj[1])
         t_layer = qkv_off = comp_j = dram_j = comm_j = 0.0
-        records: list[OpRecord] = []
-        for costs, recs in groups:
+        for costs in groups:
             for dt, c_j, d_j, x_j, is_qkv in costs:
                 t_layer += dt
                 comp_j += c_j
@@ -496,7 +494,6 @@ class _Sim:
                 comm_j += x_j
                 if is_qkv:
                     qkv_off = t_layer
-            records += recs
         lo, hi = ctx.bounds[s]
         n_layers = hi - lo
         shard_compute_j = comp_j * n_layers
@@ -509,10 +506,8 @@ class _Sim:
             shard_dram_j=shard_dram_j,
             shard_j=shard_compute_j + shard_dram_j,
             comm_j=comm_j * n_layers,
-            records=tuple(records),
         )
         batch.costs[s] = cost
-        self._distinct.append(cost)
         return cost
 
     def _run_stage(self, ctx: _PhaseCtx, s: int, cost: _StageCost) -> None:
@@ -742,7 +737,7 @@ class _Sim:
             energy_j=energy,
             tokens_per_joule=total_tokens / energy if energy > 0 else 0.0,
             kv_overflow=self.kv_overflow,
-            op_records=tuple(r for c in self._distinct for r in c.records),
+            op_records=tuple(self.records),
             chip_compute_j=dict(self.chip_compute_j),
             chip_dram_j=dict(self.chip_dram_j),
             events=self.events,
@@ -803,7 +798,7 @@ def roofline_check(metrics: ServingMetrics, spec: SystemSpec, plan: PdPlan,
             continue
         peak, bw, vpu_peak = by_phase[rec.phase]
         achieved = rec.flops / rec.latency_s
-        if rec.kind == "vpu":
+        if rec.kind is ops.OpKind.VPU:
             roof = vpu_peak
         elif rec.dram_bytes > 0:
             ai = rec.flops / rec.dram_bytes

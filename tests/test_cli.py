@@ -113,6 +113,16 @@ def test_dataflow_infeasible_exit3(tmp_path, capsys):
     assert "infeasible" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["dataflow", "simulate"])
+def test_refresh_stall_exit3(tmp_path, capsys, command):
+    # at 200 C refresh takes the DRAM's whole time, so no mapping can run
+    argv = (["dataflow", "--shape", "4x64x64", "--pe", "system_small.json"]
+            if command == "dataflow" else ["simulate", *SMALL, "--trace", "code:n=2"])
+    code = main([*argv, "--temp-c", "200", "--out", str(tmp_path / "x")])
+    assert code == 3
+    assert "refresh duty" in capsys.readouterr().err
+
+
 # --- simulate ---------------------------------------------------------------------
 
 
@@ -405,6 +415,27 @@ BAD_INPUTS = {
     "jobs_negative": ([*DSE_SYSTEM, "--budget", "3", "--jobs", "-1"], None, "--jobs"),
     "domain_zero": ([*DSE_CHIPLET, "--budget", "4", "--domain", INPUT],
                     json.dumps({"n_pe": [0]}), "n_pe"),
+    # non-finite numbers: json.loads reads NaN and Infinity, float() reads nan and inf
+    "system_t_rcd_infinity": (SIM_INPUT_SYSTEM, edited(
+        "system_small.json", ("chiplet_types", "pc", "dram", "t_rcd_ns"), float("inf")),
+        "system.chiplet_types.pc.dram.t_rcd_ns"),
+    "system_ambient_nan": (SIM_INPUT_SYSTEM, edited(
+        "system_small.json", ("cooling", "ambient_c"), float("nan")),
+        "system.cooling.ambient_c"),
+    "temp_c_nan": ([*SIM_SMALL, "--temp-c", "nan"], None, "--temp-c"),
+    "temp_c_inf": ([*SIM_SMALL, "--temp-c", "inf"], None, "--temp-c"),
+    "kv_budget_nan": ([*SIM_SMALL, "--kv-budget-mb", "nan"], None, "--kv-budget-mb"),
+    "kv_budget_inf": ([*SIM_SMALL, "--kv-budget-mb", "inf"], None, "--kv-budget-mb"),
+    "eps_nan": ([*DSE_CHIPLET, "--budget", "4", "--eps", "nan"], None, "--eps"),
+    "slo_ttft_nan": ([*DSE_SYSTEM, "--budget", "3", "--slo-ttft", "nan"], None, "--slo-ttft"),
+    "gen_trace_rate_nan": (["gen-trace", "--source", "code", "--n", "4", "--rate", "nan"],
+                           None, "--rate"),
+    "trace_spec_rate_nan": (["simulate", *SMALL, "--trace", "code:n=2:rate=nan"], None,
+                            "rate_rps"),
+    "trace_arrival_nan": (["simulate", *SMALL, "--trace", INPUT],
+                          TRACE_HEADER + "0,nan,5,3\n", "arrival_s"),
+    "trace_arrival_inf": (["simulate", *SMALL, "--trace", INPUT],
+                          TRACE_HEADER + "0,inf,5,3\n", "arrival_s"),
 }
 for keys in (("flops_scale",), ("pe", "sram_banks"), ("pe", "noc_flit_bits"),
              ("dram", "page_size_bytes")):

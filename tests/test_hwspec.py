@@ -74,7 +74,6 @@ def test_metrics_monotone(cores, layers):
     m1 = derive_chiplet_metrics(make_chiplet(dram=d1))
     m2 = derive_chiplet_metrics(make_chiplet(dram=d2))
     assert m2.peak_bw_bytes >= m1.peak_bw_bytes
-    assert m2.capacity_bytes >= m1.capacity_bytes
     assert derive_chiplet_metrics(base).peak_power_w > 0
 
 

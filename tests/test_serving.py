@@ -271,12 +271,13 @@ def test_roofline_flags_every_timed_record_under_tiny_slack(tiny_model, system):
 def test_op_records_do_not_grow_with_trace_length(tiny_model, system):
     # One bucket holds every context, so each decode beat reuses one stage cost.
     plan = _plan(system, tiny_model, tp_decode=2, pp_decode=2)
-    counts = [
-        len(simulate(system, tiny_model, plan, (Request(0, 0.0, 8, out),),
-                     SimConfig(len_bucket=128)).op_records)
+    records = [
+        simulate(system, tiny_model, plan, (Request(0, 0.0, 8, out),),
+                 SimConfig(len_bucket=128)).op_records
         for out in (4, 64)
     ]
-    assert counts[0] == counts[1] > 0
+    assert len(records[0]) == len(records[1]) > 0
+    assert all(len(set(r)) == len(r) for r in records)
 
 
 def _static_w(system) -> float:
@@ -356,7 +357,8 @@ def test_energy_includes_static_floor(tiny_model, system):
 # together they cover continuous and static batching, KV-budget waits, a
 # two-stage prefill sending KV per layer, decode pp 2 and 4, both pipelines
 # queueing batches in one trace, and per-chip temperatures in different
-# refresh bins.
+# refresh bins. Their op_records counts are the distinct records of the
+# engine just before records were interned.
 
 _ORACLE_PLAN = dict(tp_prefill=2, pp_prefill=1, tp_decode=2, pp_decode=2)
 _ORACLE_TEMPS = {(0, 0): 60.0, (1, 0): 92.0, (2, 0): 75.0, (3, 0): 101.0}
@@ -419,7 +421,7 @@ _ORACLE = {
         "chip_dram_j": [
             ((0, 0), 2.0328447999999997e-06), ((2, 0), 1.6715775999999986e-06),
         ],
-        "op_records": 324,
+        "op_records": 98,
     },
     "static": {
         "summary": {
@@ -445,7 +447,7 @@ _ORACLE = {
         "chip_dram_j": [
             ((0, 0), 2.0328447999999997e-06), ((2, 0), 1.6715775999999971e-06),
         ],
-        "op_records": 324,
+        "op_records": 98,
     },
     "kv_wait": {
         "summary": {
@@ -471,7 +473,7 @@ _ORACLE = {
         "chip_dram_j": [
             ((0, 0), 2.0328447999999997e-06), ((2, 0), 1.9468287999999987e-06),
         ],
-        "op_records": 230,
+        "op_records": 84,
     },
     "pp_prefill2": {
         "summary": {
@@ -498,7 +500,7 @@ _ORACLE = {
             ((0, 0), 1.8923519999999994e-06), ((1, 0), 1.8923519999999994e-06),
             ((2, 0), 1.6715775999999986e-06),
         ],
-        "op_records": 374,
+        "op_records": 128,
     },
     "decode_pp4": {
         "summary": {
@@ -526,7 +528,7 @@ _ORACLE = {
             ((0, 0), 2.0328447999999997e-06), ((2, 0), 9.16070399999999e-07),
             ((3, 0), 9.16070399999999e-07),
         ],
-        "op_records": 486,
+        "op_records": 117,
     },
     "pp_prefill2_decode_pp4": {
         "summary": {
@@ -554,7 +556,7 @@ _ORACLE = {
             ((0, 0), 1.8923519999999994e-06), ((1, 0), 1.8923519999999994e-06),
             ((2, 0), 9.16070399999999e-07), ((3, 0), 9.16070399999999e-07),
         ],
-        "op_records": 536,
+        "op_records": 147,
     },
 }
 
@@ -564,9 +566,10 @@ def test_engine_matches_recorded_outputs(case):
     assert _oracle_fingerprint(case) == _ORACLE[case]
 
 
-def _direct_stage_cost(sim, ctx, s: int, key) -> serving._StageCost:
+def _direct_stage_cost(sim, ctx, s: int, key) -> tuple[serving._StageCost, list]:
     """A stage's cost as the engine built it before its operator memos: each
-    op of ops.layer_ops costed on its own, in op order."""
+    op of ops.layer_ops costed on its own, in op order. Also returns the
+    records of its GEMM and VPU ops."""
     chiplet, tp = ctx.chiplet, ctx.plan.tp
     t_layer = qkv_off = comp_j = dram_j = comm_j = 0.0
     records = []
@@ -578,12 +581,13 @@ def _direct_stage_cost(sim, ctx, s: int, key) -> serving._StageCost:
             dt = res.cost.latency_s
             comp_j += res.cost.compute.energy_j
             dram_j += res.cost.energy_j - res.cost.compute.energy_j
-            records.append(serving.OpRecord(ctx.phase, "gemm", op.tag, op.shape.flops,
-                                            res.cost.dram_bytes, dt))
+            records.append(serving.OpRecord(ctx.phase, ops.OpKind.GEMM, op.tag,
+                                            op.shape.flops, res.cost.dram_bytes, dt))
         elif op.kind is ops.OpKind.VPU:
             dt = vpu_cycles(op.elements, chiplet.pe) / chiplet.clock_hz
             comp_j += op.elements * chiplet.pe.pj_per_flop * 1e-12
-            records.append(serving.OpRecord(ctx.phase, "vpu", op.tag, op.elements, 0, dt))
+            records.append(serving.OpRecord(ctx.phase, ops.OpKind.VPU, op.tag,
+                                            op.elements, 0, dt))
         elif tp > 1:
             cc = allreduce_cost(ctx.members[s], ctx.centers[s], op.msg_bytes, sim.spec)
             dt = cc.latency_s
@@ -598,21 +602,27 @@ def _direct_stage_cost(sim, ctx, s: int, key) -> serving._StageCost:
     return serving._StageCost(
         duration_s=t_layer * n, layer_s=t_layer, qkv_offset_s=qkv_off,
         shard_compute_j=comp_j * n, shard_dram_j=dram_j * n,
-        shard_j=comp_j * n + dram_j * n, comm_j=comm_j * n, records=tuple(records))
+        shard_j=comp_j * n + dram_j * n, comm_j=comm_j * n), records
 
 
 @pytest.mark.parametrize("case", ["static", "pp_prefill2", "decode_pp4"])
 def test_stage_costs_equal_direct_per_op_costing(case):
     sim = serving._Sim(*_oracle_inputs(case))
     sim.run()
+    m = sim.metrics(sim.spec)
     checked = 0
+    records = set()
     for ctx in (sim.pre, sim.dec):
         for key, costs in ctx.costs.items():
             for s, cost in enumerate(costs):
                 if cost is not None:
-                    assert cost == _direct_stage_cost(sim, ctx, s, key), (ctx.phase, s, key)
+                    direct, recs = _direct_stage_cost(sim, ctx, s, key)
+                    assert cost == direct, (ctx.phase, s, key)
+                    records.update(recs)
                     checked += 1
-    assert checked == len(sim._distinct) > 2 * sim.dec.pp
+    assert checked > 2 * sim.dec.pp
+    assert records == set(m.op_records)
+    assert len(set(m.op_records)) == len(m.op_records)
 
 
 def test_simulation_deterministic(tiny_model, system):
