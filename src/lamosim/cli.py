@@ -43,6 +43,7 @@ from .dse import (
     system_dse,
 )
 from .hwspec import (
+    ABSOLUTE_ZERO_C,
     ChipletSpec,
     ConfigError,
     Role,
@@ -550,7 +551,8 @@ def cmd_dse_system(args) -> int:
     kv = None if args.kv_budget_mb is None else int(args.kv_budget_mb * (1 << 20))
     cfg = _sim_config(args, kv)
 
-    jobs = args.jobs or os.cpu_count() or 1
+    # a worker per design at most: the pool forks all its workers at once
+    jobs = min(args.jobs or os.cpu_count() or 1, len(pc) * len(dc) * len(counts))
     out = OutDir(args.out)
 
     def run(map_fn):
@@ -665,7 +667,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="chiplet type name when --pe is a system JSON")
     p.add_argument("--model", default=None, help="model JSON; sets dtype")
     p.add_argument("--dtype-bytes", type=_at_least(int, 1), default=2)
-    p.add_argument("--temp-c", type=_finite, default=65.0)
+    p.add_argument("--temp-c", type=_at_least(float, ABSOLUTE_ZERO_C), default=65.0)
     p.add_argument("--policy", choices=sorted(_POLICY_FLAG), default="d3",
                    help="d3 searches all reuse policies; others fix one")
     p.add_argument("--dump-all", action="store_true",
@@ -682,7 +684,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--plan", default="auto",
                    help='"auto" or a JSON file with per-phase {"tp", "pp"}')
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--temp-c", type=_finite, default=65.0)
+    p.add_argument("--temp-c", type=_at_least(float, ABSOLUTE_ZERO_C), default=65.0)
     p.add_argument("--thermal", action="store_true",
                    help="couple serving with the thermal fixed point")
     _add_batching_flags(p)
@@ -727,7 +729,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--slo-tbt", type=_finite, default=None, help="p95 TBT bound, s")
     p.add_argument("--wave", type=_at_least(int, 1), default=8,
                    help="proposals per annealing wave")
-    p.add_argument("--temp-c", type=_finite, default=65.0)
+    p.add_argument("--temp-c", type=_at_least(float, ABSOLUTE_ZERO_C), default=65.0)
     p.add_argument("--jobs", type=_at_least(int, 1), default=None,
                    help="worker processes; default: available cores")
     _add_batching_flags(p)

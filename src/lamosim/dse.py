@@ -8,9 +8,10 @@ Three layers, each usable on its own:
   * search_plan: pick (tp, pp) per phase for a fixed system. Prefill is
     ranked by the traversal latency of one request through the pipeline,
     decode by the steady-state beat time of the slowest stage, so the two
-    phases generally land on different shapes. Each shape is ranked on
-    `mapping.cached_tp_group`, the grouping the winning plan is built on,
-    so every (pool, tp) is grouped once per process.
+    phases generally land on different shapes. Each phase's shapes are
+    ranked in one table, costing each TP width once, on
+    `mapping.cached_tp_group`, the grouping the winning plan is built on, so
+    every (pool, tp) is grouped once per process.
   * system_dse: budgeted search over (prefill chiplet, decode chiplet,
     pool counts). Exhaustive when the space fits the simulation budget,
     otherwise a stratified seed wave plus simulated-annealing waves of a
@@ -251,29 +252,28 @@ def _divisors(n: int) -> list[int]:
     return [d for d in range(1, n + 1) if n % d == 0]
 
 
-def _phase_shapes(pool_n: int, n_layers: int) -> list[tuple[int, int]]:
-    """Candidate (tp, pp) pairs: powers of two plus the shapes whose stage
-    count divides the layer count evenly. Uneven layer splits round a stage
-    up, which quietly dominates the decode beat time, so the evenly packed
-    widths must be in the pool."""
+def _phase_shapes(pool_n: int, n_layers: int) -> list[tuple[int, list[int]]]:
+    """Candidate widths, each with its stage counts: powers of two plus the
+    shapes whose stage count divides the layer count evenly. Uneven layer
+    splits round a stage up, which quietly dominates the decode beat time, so
+    the evenly packed widths must be in the pool. Every shape has at least
+    one TP group per stage."""
     tps = set(_pow2_upto(pool_n))
     for pp in _divisors(n_layers):
         if pp <= pool_n:
             tps.add(pool_n // pp)
     pps = set(_pow2_upto(n_layers)) | set(_divisors(n_layers))
-    out = []
-    for tp in sorted(tps):
-        for pp in sorted(p for p in pps if p <= min(pool_n // tp, n_layers)):
-            out.append((tp, pp))
-    return out
+    return [(tp, sorted(p for p in pps if p <= min(pool_n // tp, n_layers)))
+            for tp in sorted(tps)]
 
 
-def _phase_score(spec: SystemSpec, model: ModelSpec, role: Role,
-                 phase: ops.Phase, tp: int, pp: int, m_tokens: int,
-                 ctx: int, temp_c: float, kv_budget_bytes: int = 0) -> float | None:
-    """Ranking score for one (tp, pp) shape; None when it cannot fit: too few
-    groups, or its deepest stage overflows the group slice by
-    `mapping.stage_bytes`, the rule build_pd_plan checks.
+def _phase_ranking(spec: SystemSpec, model: ModelSpec, role: Role,
+                   phase: ops.Phase, m_tokens: int, ctx: int, temp_c: float,
+                   kv_budget_bytes: int = 0) -> list[tuple[float, int, int]]:
+    """Every (tp, pp) shape of a phase that fits, as (score, pp, -tp), best
+    first. A shape fits when its deepest stage holds on the group slice by
+    `mapping.stage_bytes`, the rule build_pd_plan checks. Everything but the
+    stage count depends on tp alone, so each width is costed once.
 
     Prefill: one request's traversal = all layers in sequence plus a handoff
     per stage boundary. Decode: beat period of the deepest stage; transfers
@@ -281,29 +281,37 @@ def _phase_score(spec: SystemSpec, model: ModelSpec, role: Role,
     """
     pool = pool_pe_coords(spec, role)
     chiplet = pool_chiplet(spec, role)
-    k = len(pool) // tp
-    if k < pp or tp > len(pool):
-        return None
-    worst_layers = math.ceil(model.n_layers / pp)
     slice_b = chiplet.dram.capacity_bytes // chiplet.n_pe
-    if stage_bytes(model, worst_layers, kv_budget_bytes) > tp * slice_b:
-        return None
-    layer_s = estimate_layer_costs(model, chiplet, phase, m_tokens, ctx, temp_c, tp)
-    ar_s = 0.0
-    handoff = 0.0
     msg = m_tokens * model.d_model * model.dtype_bytes
-    if tp > 1 or pp > 1:
-        groups = cached_tp_group(pool, tp, spec).groups
-        first = [pool[i] for i in groups[0]]
-        c0 = group_center_coord(first, spec)
-        if tp > 1:
-            ar_s = allreduce_cost(first, c0, msg, spec).latency_s
-        if pp > 1:
-            c1 = group_center_coord([pool[i] for i in groups[1]], spec)
-            handoff = link_delay(msg, *manhattan(c0, c1, spec), spec)
-    if phase is ops.Phase.PREFILL:
-        return model.n_layers * (layer_s + 2.0 * ar_s) + (pp - 1) * handoff
-    return worst_layers * (layer_s + 2.0 * ar_s)
+    table = []
+    for tp, pps in _phase_shapes(len(pool), model.n_layers):
+        pps = [pp for pp in pps if stage_bytes(
+            model, math.ceil(model.n_layers / pp), kv_budget_bytes) <= tp * slice_b]
+        if not pps:
+            continue
+        layer_s = estimate_layer_costs(model, chiplet, phase, m_tokens, ctx, temp_c, tp)
+        ar_s = 0.0
+        handoff = 0.0
+        if tp > 1 or pps[-1] > 1:
+            groups = cached_tp_group(pool, tp, spec).groups
+            first = [pool[i] for i in groups[0]]
+            c0 = group_center_coord(first, spec)
+            if tp > 1:
+                ar_s = allreduce_cost(first, c0, msg, spec).latency_s
+            if pps[-1] > 1:
+                c1 = group_center_coord([pool[i] for i in groups[1]], spec)
+                handoff = link_delay(msg, *manhattan(c0, c1, spec), spec)
+        for pp in pps:
+            if phase is ops.Phase.PREFILL:
+                score = model.n_layers * (layer_s + 2.0 * ar_s) + (pp - 1) * handoff
+            else:
+                score = math.ceil(model.n_layers / pp) * (layer_s + 2.0 * ar_s)
+            table.append((score, pp, -tp))
+    if not table:
+        extra = f" plus a {kv_budget_bytes} B KV budget" if kv_budget_bytes else ""
+        raise CapacityExceeded(
+            f"no (tp, pp) shape fits {phase.value} weights{extra} on its pool")
+    return sorted(table)
 
 
 def search_plan(spec: SystemSpec, model: ModelSpec, *,
@@ -320,27 +328,11 @@ def search_plan(spec: SystemSpec, model: ModelSpec, *,
     With kv_budget_decode_bytes=None the budget is set to the headroom the
     chosen decode placement actually has, and returned for the serving config.
     """
-    scores: dict[ops.Phase, list[tuple[float, int, int]]] = {}
     kv_budget = kv_budget_decode_bytes or 0
-    for role, phase, m_tokens, ctx, kv in (
-        (Role.PREFILL, ops.Phase.PREFILL, ref_prefill_tokens, ref_prefill_tokens, 0),
-        (Role.DECODE, ops.Phase.DECODE, ref_decode_batch, ref_decode_ctx, kv_budget),
-    ):
-        pool_n = len(pool_pe_coords(spec, role))
-        cands = []
-        for tp, pp in _phase_shapes(pool_n, model.n_layers):
-            s = _phase_score(spec, model, role, phase, tp, pp,
-                             m_tokens, ctx, temp_c, kv)
-            if s is not None:
-                cands.append((s, pp, -tp))
-        if not cands:
-            extra = f" plus a {kv} B KV budget" if kv else ""
-            raise CapacityExceeded(
-                f"no (tp, pp) shape fits {phase.value} weights{extra} on its pool")
-        cands.sort()
-        scores[phase] = cands
-    ps, ppp, ptp = scores[ops.Phase.PREFILL][0]
-    ds, dpp, dtp = scores[ops.Phase.DECODE][0]
+    ps, ppp, ptp = _phase_ranking(spec, model, Role.PREFILL, ops.Phase.PREFILL,
+                                  ref_prefill_tokens, ref_prefill_tokens, temp_c)[0]
+    ds, dpp, dtp = _phase_ranking(spec, model, Role.DECODE, ops.Phase.DECODE,
+                                  ref_decode_batch, ref_decode_ctx, temp_c, kv_budget)[0]
     plan = build_pd_plan(
         spec, model,
         tp_prefill=-ptp, pp_prefill=ppp, tp_decode=-dtp, pp_decode=dpp,
@@ -493,11 +485,12 @@ def system_dse(template: SystemSpec, model: ModelSpec, trace,
                map_fn: Callable = map) -> SystemDseResult:
     """Budgeted constrained search, ranked by tokens per joule.
 
-    The whole space is enumerated when it fits inside the budget (one
-    simulation is always reserved for re-checking the winner). Otherwise a
-    stratified seed wave is followed by annealing waves of `wave` proposals;
-    whole waves are dispatched through map_fn, so any order-preserving
-    parallel map gives identical results.
+    At most `budget` simulations run. The whole space is enumerated when it
+    fits inside the budget (one simulation is always reserved for
+    re-checking the winner). Otherwise a stratified seed wave of at most
+    `budget - 1` designs is followed by annealing waves of `wave` proposals;
+    each design is simulated once, and whole waves are dispatched through
+    map_fn, so any order-preserving parallel map gives identical results.
     """
     if budget < 2:
         raise ValueError("budget must allow at least one evaluation plus a re-check")
@@ -523,7 +516,7 @@ def system_dse(template: SystemSpec, model: ModelSpec, trace,
 
     def run_wave(batch: list[tuple[int, int, int]]) -> None:
         nonlocal sims
-        todo = [t for t in batch if t not in evaluated]
+        todo = [t for t in dict.fromkeys(batch) if t not in evaluated]
         for t, ev in zip(todo, map_fn(eval_fn, [to_point(t) for t in todo])):
             evaluated[t] = ev
             sims += ev.simulated
@@ -537,10 +530,11 @@ def system_dse(template: SystemSpec, model: ModelSpec, trace,
     if exhaustive:
         run_wave(triples)
     else:
-        # stratified seed wave: every axis cycled under its own shuffle
+        # stratified seed wave: every axis cycled under its own shuffle, with
+        # room left for the re-check
         perms = [rng.sample(range(n), n) for n in axes]
         seeds = [tuple(perms[a][i % axes[a]] for a in range(3))
-                 for i in range(wave)]
+                 for i in range(min(wave, budget - 1))]
         run_wave(seeds)
         cur = max(evaluated, key=rank_key)
         temp = 0.1

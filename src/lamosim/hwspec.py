@@ -20,6 +20,7 @@ from enum import Enum
 from typing import Any, get_args, get_origin, get_type_hints
 
 SCHEMA_VERSION = 1
+ABSOLUTE_ZERO_C = -273.15
 
 # Violation kinds reported by validate_system.
 AREA_EXCEEDED = "AreaExceeded"
@@ -102,6 +103,8 @@ class DramStackSpec:
         _require(self.io_clock_hz > 0.0, "dram.io_clock_hz must be > 0")
         _require(self.energy_per_bit_pj > 0.0, "dram.energy_per_bit_pj must be > 0")
         _require(self.refresh_energy_per_cmd_pj >= 0.0, "dram.refresh_energy_per_cmd_pj must be >= 0")
+        _require(self.retention_base_temp_c >= ABSOLUTE_ZERO_C,
+                 f"dram.retention_base_temp_c must be >= {ABSOLUTE_ZERO_C}")
 
     @property
     def channels(self) -> int:
@@ -264,6 +267,9 @@ class CoolingSpec:
     t_limit_c: float = 105.0
 
     def __post_init__(self) -> None:
+        for name in ("ambient_c", "t_limit_c"):
+            _require(getattr(self, name) >= ABSOLUTE_ZERO_C,
+                     f"cooling.{name} must be >= {ABSOLUTE_ZERO_C}")
         _require(self.r_coldplate > 0.0, "cooling.r_coldplate must be > 0")
         _require(self.r_per_dram_layer > 0.0, "cooling.r_per_dram_layer must be > 0")
         _require(self.r_bond >= 0.0, "cooling.r_bond must be >= 0")

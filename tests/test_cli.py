@@ -5,6 +5,7 @@ surface of every subcommand."""
 from __future__ import annotations
 
 import argparse
+import concurrent.futures
 import filecmp
 import hashlib
 import json
@@ -195,6 +196,18 @@ def test_simulate_plan_wider_than_pool_exit3(tmp_path, capsys):
     assert "cannot form a group of 200" in capsys.readouterr().err
 
 
+def test_simulate_auto_plan_without_decode_chiplets_exit3(tmp_path, capsys):
+    d = json.loads((CONFIGS / "system_small.json").read_text())
+    for p in d["placement"]:
+        p["type"] = "pc"
+    f = tmp_path / "no_decode.json"
+    f.write_text(json.dumps(d))
+    code = main(["simulate", "--system", str(f), "--model", "model_tiny.json",
+                 "--trace", TRACE, "--out", str(tmp_path / "x")])
+    assert code == 3
+    assert "no decode chiplets" in capsys.readouterr().err
+
+
 def test_simulate_pool_mixing_chiplet_types_exit2(tmp_path, capsys):
     d = json.loads((CONFIGS / "system_small.json").read_text())
     pc2 = dict(d["chiplet_types"]["pc"])
@@ -282,6 +295,32 @@ def test_dse_system_jobs_invariance(tmp_path):
     assert main(dse_system_args(b, "--jobs", "2")) == 0
     assert read_manifest(a)["result_digest"] == read_manifest(b)["result_digest"]
     assert filecmp.cmp(a / "ranking.csv", b / "ranking.csv", shallow=False)
+
+
+@pytest.mark.parametrize("counts,workers", [(("2,2", "3,1"), [2]), (("2,2",), [])],
+                         ids=["two_designs", "one_design"])
+def test_dse_system_jobs_capped_at_design_count(tmp_path, monkeypatch, counts, workers):
+    seen = []
+
+    class FakePool:  # records the pool size and maps in this process
+        def __init__(self, max_workers):
+            seen.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        map = staticmethod(map)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+    argv = ["dse", "--level", "system", *SMALL, "--trace", TRACE, "--budget", "6",
+            "--jobs", "64", "--out", str(tmp_path / "dse")]
+    for c in counts:
+        argv += ["--counts", c]
+    assert main(argv) == 0
+    assert seen == workers
 
 
 def test_dse_system_infeasible_slo_exit3(tmp_path, capsys):
@@ -424,6 +463,17 @@ BAD_INPUTS = {
         "system.cooling.ambient_c"),
     "temp_c_nan": ([*SIM_SMALL, "--temp-c", "nan"], None, "--temp-c"),
     "temp_c_inf": ([*SIM_SMALL, "--temp-c", "inf"], None, "--temp-c"),
+    "temp_c_below_absolute_zero": ([*SIM_SMALL, "--temp-c", "-500"], None, "--temp-c"),
+    "dataflow_temp_c_below_absolute_zero": (
+        ["dataflow", "--shape", "4x64x64", "--pe", "system_small.json", "--temp-c", "-1000"],
+        None, "--temp-c"),
+    "system_ambient_below_absolute_zero": (SIM_INPUT_SYSTEM, edited(
+        "system_small.json", ("cooling", "ambient_c"), -300), "cooling.ambient_c"),
+    "system_t_limit_below_absolute_zero": (SIM_INPUT_SYSTEM, edited(
+        "system_small.json", ("cooling", "t_limit_c"), -300), "cooling.t_limit_c"),
+    "system_retention_below_absolute_zero": (SIM_INPUT_SYSTEM, edited(
+        "system_small.json", ("chiplet_types", "pc", "dram", "retention_base_temp_c"), -300),
+        "dram.retention_base_temp_c"),
     "kv_budget_nan": ([*SIM_SMALL, "--kv-budget-mb", "nan"], None, "--kv-budget-mb"),
     "kv_budget_inf": ([*SIM_SMALL, "--kv-budget-mb", "inf"], None, "--kv-budget-mb"),
     "eps_nan": ([*DSE_CHIPLET, "--budget", "4", "--eps", "nan"], None, "--eps"),

@@ -5,14 +5,22 @@ from __future__ import annotations
 import math
 import random
 from multiprocessing.pool import ThreadPool
+from pathlib import Path
 
 import pytest
 
 from conftest import make_chiplet, make_dram, make_model, make_system
+import lamosim
 from lamosim import dse, mapping, ops
-from lamosim.hwspec import ConfigError, Role, derive_chiplet_metrics
-from lamosim.mapping import CapacityExceeded
+from lamosim.comm import allreduce_cost, link_delay, manhattan
+from lamosim.hwspec import (ConfigError, ModelSpec, Role, SystemSpec,
+                            derive_chiplet_metrics, load_model, load_system)
+from lamosim.mapping import (CapacityExceeded, cached_tp_group, estimate_layer_costs,
+                             group_center_coord, pool_chiplet, pool_pe_coords,
+                             stage_bytes)
 from lamosim.serving import SimConfig, synth_trace
+
+CONFIGS = Path(lamosim.__file__).parent / "configs"
 
 
 # --- Pareto utilities ---------------------------------------------------------
@@ -163,28 +171,141 @@ def test_chiplet_dse_domain_axes_exact():
 # --- plan selection -----------------------------------------------------------
 
 
-def test_phase_score_prefers_deep_pipeline_for_decode_only(system, tiny_model):
+# The per-shape enumeration and scorer that `dse._phase_ranking` replaced,
+# kept as its oracle.
+
+
+def _flat_phase_shapes(pool_n, n_layers):
+    """Every candidate (tp, pp) shape, one entry each."""
+    tps = set(dse._pow2_upto(pool_n))
+    for pp in dse._divisors(n_layers):
+        if pp <= pool_n:
+            tps.add(pool_n // pp)
+    pps = set(dse._pow2_upto(n_layers)) | set(dse._divisors(n_layers))
+    out = []
+    for tp in sorted(tps):
+        for pp in sorted(p for p in pps if p <= min(pool_n // tp, n_layers)):
+            out.append((tp, pp))
+    return out
+
+
+def _phase_score(spec: SystemSpec, model: ModelSpec, role: Role,
+                 phase: ops.Phase, tp: int, pp: int, m_tokens: int,
+                 ctx: int, temp_c: float, kv_budget_bytes: int = 0) -> float | None:
+    """Ranking score for one (tp, pp) shape; None when it cannot fit: too few
+    groups, or its deepest stage overflows the group slice by
+    `mapping.stage_bytes`, the rule build_pd_plan checks.
+
+    Prefill: one request's traversal = all layers in sequence plus a handoff
+    per stage boundary. Decode: beat period of the deepest stage; transfers
+    overlap the next beat so they do not enter the period.
+    """
+    pool = pool_pe_coords(spec, role)
+    chiplet = pool_chiplet(spec, role)
+    k = len(pool) // tp
+    if k < pp or tp > len(pool):
+        return None
+    worst_layers = math.ceil(model.n_layers / pp)
+    slice_b = chiplet.dram.capacity_bytes // chiplet.n_pe
+    if stage_bytes(model, worst_layers, kv_budget_bytes) > tp * slice_b:
+        return None
+    layer_s = estimate_layer_costs(model, chiplet, phase, m_tokens, ctx, temp_c, tp)
+    ar_s = 0.0
+    handoff = 0.0
+    msg = m_tokens * model.d_model * model.dtype_bytes
+    if tp > 1 or pp > 1:
+        groups = cached_tp_group(pool, tp, spec).groups
+        first = [pool[i] for i in groups[0]]
+        c0 = group_center_coord(first, spec)
+        if tp > 1:
+            ar_s = allreduce_cost(first, c0, msg, spec).latency_s
+        if pp > 1:
+            c1 = group_center_coord([pool[i] for i in groups[1]], spec)
+            handoff = link_delay(msg, *manhattan(c0, c1, spec), spec)
+    if phase is ops.Phase.PREFILL:
+        return model.n_layers * (layer_s + 2.0 * ar_s) + (pp - 1) * handoff
+    return worst_layers * (layer_s + 2.0 * ar_s)
+
+
+def _oracle_ranking(spec, model, role, phase, m_tokens, ctx, kv=0):
+    """The per-shape ranking: one `_phase_score` call per shape."""
+    out = []
+    for tp, pp in _flat_phase_shapes(len(pool_pe_coords(spec, role)), model.n_layers):
+        s = _phase_score(spec, model, role, phase, tp, pp, m_tokens, ctx, 65.0, kv)
+        if s is not None:
+            out.append((s, pp, -tp))
+    return sorted(out)
+
+
+def _table(spec, model, role, phase, m_tokens, ctx, kv=0):
+    return dse._phase_ranking(spec, model, role, phase, m_tokens, ctx, 65.0, kv)
+
+
+def test_phase_shapes_group_the_flat_shape_list_by_width():
+    for pool_n in (1, 2, 3, 8, 12, 64, 96):
+        for n_layers in (1, 2, 6, 7, 40, 80):
+            flat = [(tp, pp) for tp, pps in dse._phase_shapes(pool_n, n_layers)
+                    for pp in pps]
+            assert flat == _flat_phase_shapes(pool_n, n_layers)
+
+
+def test_phase_ranking_matches_per_shape_oracle(system, tiny_model):
+    free = _table(system, tiny_model, Role.DECODE, ops.Phase.DECODE, 4, 8)
+    kv = 1 << 28  # drops tp=1 entirely and pp=1 at tp=2, keeps wider shapes
+    held = _table(system, tiny_model, Role.DECODE, ops.Phase.DECODE, 4, 8, kv)
+    assert 0 < len(held) < len(free)
+    assert held == _oracle_ranking(system, tiny_model, Role.DECODE,
+                                   ops.Phase.DECODE, 4, 8, kv)
+    assert free == _oracle_ranking(system, tiny_model, Role.DECODE,
+                                   ops.Phase.DECODE, 4, 8)
+    assert _table(system, tiny_model, Role.PREFILL, ops.Phase.PREFILL, 8, 8) == \
+        _oracle_ranking(system, tiny_model, Role.PREFILL, ops.Phase.PREFILL, 8, 8)
+
+
+@pytest.mark.parametrize("model_name", ["model_tiny.json", "model_mid.json"])
+def test_phase_ranking_matches_oracle_on_reference_system(model_name):
+    spec = load_system(str(CONFIGS / "system_ref.json"))
+    model = load_model(str(CONFIGS / model_name))
+    for role, phase, m_tokens, ctx in ((Role.PREFILL, ops.Phase.PREFILL, 512, 512),
+                                       (Role.DECODE, ops.Phase.DECODE, 16, 2048)):
+        assert _table(spec, model, role, phase, m_tokens, ctx) == \
+            _oracle_ranking(spec, model, role, phase, m_tokens, ctx)
+
+
+def test_phase_ranking_prefers_deep_pipeline_for_decode_only(system, tiny_model):
     # same shard cost per layer; prefill pays a handoff for pp=2 while decode
     # halves its beat period
-    pre1 = dse._phase_score(system, tiny_model, Role.PREFILL,
-                            ops.Phase.PREFILL, 1, 1, 8, 8, 65.0)
-    pre2 = dse._phase_score(system, tiny_model, Role.PREFILL,
-                            ops.Phase.PREFILL, 1, 2, 8, 8, 65.0)
-    dec1 = dse._phase_score(system, tiny_model, Role.DECODE,
-                            ops.Phase.DECODE, 1, 1, 4, 8, 65.0)
-    dec2 = dse._phase_score(system, tiny_model, Role.DECODE,
-                            ops.Phase.DECODE, 1, 2, 4, 8, 65.0)
+    pre = {(-mtp, pp): s for s, pp, mtp in
+           _table(system, tiny_model, Role.PREFILL, ops.Phase.PREFILL, 8, 8)}
+    dec = {(-mtp, pp): s for s, pp, mtp in
+           _table(system, tiny_model, Role.DECODE, ops.Phase.DECODE, 4, 8)}
+    pre1, pre2 = pre[1, 1], pre[1, 2]
+    dec1, dec2 = dec[1, 1], dec[1, 2]
     assert pre2 > pre1
     assert dec2 < dec1
     assert dec2 == pytest.approx(dec1 / 2)
 
 
-def test_phase_score_none_when_shape_cannot_fit(system):
+def test_phase_ranking_raises_when_no_shape_fits(system):
     fat = make_model(n_layers=80, n_heads=32, n_kv_heads=32, d_head=128,
                      d_model=4096, d_ffn=16384)
-    s = dse._phase_score(system, fat, Role.PREFILL, ops.Phase.PREFILL,
-                         8, 1, 8, 8, 65.0)
-    assert s is None
+    with pytest.raises(CapacityExceeded, match="no \\(tp, pp\\) shape fits prefill"):
+        _table(system, fat, Role.PREFILL, ops.Phase.PREFILL, 8, 8)
+
+
+def test_phase_ranking_costs_each_width_once(monkeypatch):
+    spec = load_system(str(CONFIGS / "system_ref.json"))
+    model = load_model(str(CONFIGS / "model_mid.json"))
+    widths = []
+    fresh = dse.estimate_layer_costs
+
+    def counted(model, chiplet, phase, m_tokens, ctx, temp_c, tp):
+        widths.append((phase, tp))
+        return fresh(model, chiplet, phase, m_tokens, ctx, temp_c, tp)
+
+    monkeypatch.setattr(dse, "estimate_layer_costs", counted)
+    dse.search_plan(spec, model)
+    assert len(widths) == len(set(widths)) == 23
 
 
 def test_search_plan_builds_the_ranked_winner(system, tiny_model):
@@ -226,15 +347,16 @@ def test_search_plan_ranks_only_decode_shapes_holding_the_budget(system, tiny_mo
     shapes = dse._phase_shapes(len(mapping.pool_pe_coords(system, Role.DECODE)),
                                tiny_model.n_layers)
     headroom = {}
-    for tp, pp in shapes:
+    for tp, pp in ((tp, pp) for tp, pps in shapes for pp in pps):
         plan = mapping.build_pd_plan(system, tiny_model, tp_prefill=1, pp_prefill=1,
                                      tp_decode=tp, pp_decode=pp, kv_budget_decode_bytes=0)
         headroom[tp, pp] = mapping.kv_headroom(plan.decode, system, tiny_model)
     assert free.kv_budget_bytes < max(headroom.values())
     budget = (free.kv_budget_bytes + max(headroom.values())) // 2
     choice = dse.search_plan(system, tiny_model, kv_budget_decode_bytes=budget, **kw)
-    want = min((dse._phase_score(system, tiny_model, Role.DECODE, ops.Phase.DECODE,
-                                 tp, pp, 4, 8, 65.0), pp, -tp)
+    scores = {(-mtp, pp): sc for sc, pp, mtp in _table(
+        system, tiny_model, Role.DECODE, ops.Phase.DECODE, 4, 8)}
+    want = min((scores[tp, pp], pp, -tp)
                for (tp, pp), h in headroom.items() if h >= budget)
     assert (choice.decode_pp, -choice.decode_tp) == want[1:]
     assert choice.kv_budget_bytes == budget
@@ -395,6 +517,18 @@ def test_system_dse_budgeted_path():
     again = dse.system_dse(make_system(), make_model(), _trace(), pcs, dcs,
                            counts, dse.Slo(), budget=6, seed=0, wave=2)
     assert res == again
+
+
+@pytest.mark.parametrize("counts,budget", [
+    ([(2, 2), (1, 3)], 7),          # 8 seeds cycle through lcm(2, 2, 2) = 2 designs
+    ([(2, 2), (1, 3), (3, 1)], 4),  # 6 distinct seeds, room for 3 beside the re-check
+], ids=["repeated_seeds", "seeds_beyond_budget"])
+def test_system_dse_seed_wave_stays_in_budget(counts, budget):
+    pcs, dcs = _candidates()
+    res = dse.system_dse(make_system(), make_model(), _trace(), pcs, dcs,
+                         counts, dse.Slo(), budget=budget, seed=0, wave=8)
+    assert not res.exhaustive
+    assert res.sim_count <= budget
 
 
 def test_system_dse_no_feasible_design_histogram():
