@@ -396,7 +396,10 @@ def cmd_simulate(args) -> int:
     out.add_file("trace.csv")
     out.finish(args.argv, configs, args.seed, t0, run={
         "events": metrics.events, "stage_executions": metrics.stage_executions,
-        "coupling_rounds": thermal.rounds if thermal is not None else 0})
+        "coupling_rounds": thermal.rounds if thermal is not None else 0,
+        "placement": {ph.phase.value: {"greedy_objective_s": ph.placement.greedy_objective,
+                                       "objective_s": ph.placement.objective}
+                      for ph in (plan.prefill, plan.decode)}})
 
     s = summary_dict(metrics)
     print(f"simulate: {s['requests']} requests, {s['total_tokens']} tokens, "

@@ -488,9 +488,10 @@ def system_dse(template: SystemSpec, model: ModelSpec, trace,
     At most `budget` simulations run. The whole space is enumerated when it
     fits inside the budget (one simulation is always reserved for
     re-checking the winner). Otherwise a stratified seed wave of at most
-    `budget - 1` designs is followed by annealing waves of `wave` proposals;
-    each design is simulated once, and whole waves are dispatched through
-    map_fn, so any order-preserving parallel map gives identical results.
+    `budget - 1` designs is followed by annealing waves of `wave` proposals,
+    the last one cut to the budget left; each design is simulated once, and
+    whole waves are dispatched through map_fn, so any order-preserving
+    parallel map gives identical results.
     """
     if budget < 2:
         raise ValueError("budget must allow at least one evaluation plus a re-check")
@@ -538,10 +539,11 @@ def system_dse(template: SystemSpec, model: ModelSpec, trace,
         run_wave(seeds)
         cur = max(evaluated, key=rank_key)
         temp = 0.1
-        while sims + wave <= budget - 1 and len(evaluated) < len(triples):
+        while (len(evaluated) < len(triples)  # the last wave is cut to the budget left
+               and (n := min(wave, budget - 1 - sims)) > 0):
             proposals: list[tuple[int, int, int]] = []
-            for _ in range(wave * 16):
-                if len(proposals) >= wave:
+            for _ in range(n * 16):
+                if len(proposals) >= n:
                     break
                 axis = rng.randrange(3)
                 step = rng.choice((-1, 1))
@@ -550,10 +552,10 @@ def system_dse(template: SystemSpec, model: ModelSpec, trace,
                 t = tuple(cand)
                 if t not in evaluated and t not in proposals:
                     proposals.append(t)
-            if len(proposals) < wave:
+            if len(proposals) < n:
                 rest = sorted(set(triples) - set(evaluated) - set(proposals),
                               key=order.__getitem__)
-                while rest and len(proposals) < wave:
+                while rest and len(proposals) < n:
                     proposals.append(rest.pop(rng.randrange(len(rest))))
             if not proposals:
                 break

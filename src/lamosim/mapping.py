@@ -20,19 +20,20 @@ order, tp): `dse` ranks each (tp, pp) shape on the same grouping that
 
 Stage placement assigns pipeline stages to groups by simulated annealing over
 swap/move neighborhoods (geometric cooling, never worse than its greedy
-start). Its objective is the latency the assignment decides: two all-reduces
-per layer on each stage's group plus the activation handoffs between
-consecutive stages. Stage compute is the same on every group and so adds one
-constant to every assignment; placement leaves it out and runs no dataflow
-search. Plan assembly pairs prefill groups with decode KV owners and checks
-every stage's weight shard plus KV budget share (`stage_bytes`, the one
-capacity rule, which `dse` also ranks shapes by) against the group's DRAM
-slice; `kv_headroom` inverts that check, to within the bytes its floor
-division admits.
+start, each trial O(stages) on any pool). Its objective is the latency the
+assignment decides: two all-reduces per layer on each stage's group plus the
+activation handoffs between consecutive stages. Stage compute is the same on
+every group and so adds one constant to every assignment; placement leaves it
+out and runs no dataflow search. Plan assembly pairs prefill groups with
+decode KV owners and checks every stage's weight shard plus KV budget share
+(`stage_bytes`, the one capacity rule, which `dse` also ranks shapes by)
+against the group's DRAM slice; `kv_headroom` inverts that check, to within
+the bytes its floor division admits.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 import random
@@ -379,6 +380,10 @@ def place_stages(grouping: TpGrouping, pool: list[MeshCoord], n_stages: int,
     to every assignment. Annealing (_ANNEAL_ITERS trials per temperature,
     geometric cooling by _ANNEAL_COOLING) never returns worse than the greedy
     assignment it starts from; a single stage keeps its greedy group.
+
+    A trial costs O(n_stages) on any pool: the sorted list of unused groups is
+    updated on accepted moves, not rebuilt per trial, with the same random
+    draws and float additions in the same order, so placements are unchanged.
     """
     n_groups = len(grouping.groups)
     if n_stages < 1:
@@ -402,18 +407,17 @@ def place_stages(grouping: TpGrouping, pool: list[MeshCoord], n_stages: int,
         [(hi - lo) * 2 * ar_cost[g] for g in range(n_groups)]
         for lo, hi in bounds
     ]
+    # hop counts are symmetric (comm.manhattan), so each pair is costed once
     transfer = [[0.0] * n_groups for _ in range(n_groups)]
     for ga in range(n_groups):
-        for gb in range(n_groups):
-            if ga == gb:
-                continue
+        for gb in range(ga + 1, n_groups):
             noc, nop = manhattan(centers[ga], centers[gb], spec)
-            transfer[ga][gb] = link_delay(act_bytes, noc, nop, spec)
+            transfer[ga][gb] = transfer[gb][ga] = link_delay(act_bytes, noc, nop, spec)
 
     def objective(assign: list[int]) -> float:
-        total = sum(stage_cost[s][g] for s, g in enumerate(assign))
-        for s in range(len(assign) - 1):
-            total += transfer[assign[s]][assign[s + 1]]
+        total = sum(map(list.__getitem__, stage_cost, assign))  # in stage order
+        for ga, gb in zip(assign, assign[1:]):
+            total += transfer[ga][gb]
         return total
 
     # Greedy: stages in order take the best unused group.
@@ -432,27 +436,32 @@ def place_stages(grouping: TpGrouping, pool: list[MeshCoord], n_stages: int,
         return StagePlacement(tuple(assign), tuple(bounds), greedy_obj, greedy_obj)
 
     rng = random.Random(seed)
-    best = list(assign)
-    best_obj = greedy_obj
-    cur = list(assign)
-    cur_obj = greedy_obj
+    rand, sample, randrange, exp = rng.random, rng.sample, rng.randrange, math.exp
+    unused = [g for g in range(n_groups) if g not in used]  # sorted, as cur leaves them
+    best, best_obj = assign[:], greedy_obj
+    cur, cur_obj = assign, greedy_obj
     t0 = max(greedy_obj * 0.1, 1e-12)
     t = t0
     while t > t0 * 1e-3:
         for _ in range(_ANNEAL_ITERS):
-            trial = list(cur)
-            if n_groups == n_stages or rng.random() < 0.5:
-                i, j = rng.sample(range(n_stages), 2)
+            trial = cur[:]
+            if n_groups == n_stages or rand() < 0.5:
+                i, j = sample(range(n_stages), 2)
                 trial[i], trial[j] = trial[j], trial[i]
-            else:
-                unused = [g for g in range(n_groups) if g not in trial]
-                trial[rng.randrange(n_stages)] = unused[rng.randrange(len(unused))]
+                old = None
+            else:  # the group is drawn before the stage it moves to
+                new = unused[randrange(len(unused))]
+                s = randrange(n_stages)
+                old, trial[s] = trial[s], new
             trial_obj = objective(trial)
             delta = trial_obj - cur_obj
-            if delta <= 0 or rng.random() < math.exp(-delta / t):
+            if delta <= 0 or rand() < exp(-delta / t):
+                if old is not None:
+                    unused.remove(new)
+                    bisect.insort(unused, old)
                 cur, cur_obj = trial, trial_obj
                 if cur_obj < best_obj:
-                    best, best_obj = list(cur), cur_obj
+                    best, best_obj = cur[:], cur_obj
         t *= _ANNEAL_COOLING
     return StagePlacement(
         stage_groups=tuple(best),
@@ -473,6 +482,7 @@ class PhasePlan:
     stage_members: tuple[tuple[MeshCoord, ...], ...]  # per stage, shard order
     stage_centers: tuple[MeshCoord, ...]
     layer_bounds: tuple[tuple[int, int], ...]
+    placement: StagePlacement  # the annealer's result the stages were placed by
 
 
 @dataclass(frozen=True)
@@ -534,6 +544,7 @@ def _phase_plan(spec: SystemSpec, model: ModelSpec, role: Role, phase: ops.Phase
         stage_members=stage_members,
         stage_centers=centers,
         layer_bounds=placement.layer_bounds,
+        placement=placement,
     )
 
 

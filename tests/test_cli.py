@@ -158,6 +158,17 @@ def test_simulate_rerun_byte_stable(tmp_path):
     assert read_manifest(a)["run"]["coupling_rounds"] == 0  # no --thermal
 
 
+def test_simulate_manifest_reports_stage_placement(tmp_path):
+    """Each phase's annealed objective beside the greedy start it began from."""
+    out = tmp_path / "sim"
+    assert main(simulate_args(out)) == 0
+    placement = read_manifest(out)["run"]["placement"]
+    assert set(placement) == {"prefill", "decode"}
+    for phase in placement.values():
+        assert set(phase) == {"greedy_objective_s", "objective_s"}
+        assert 0 <= phase["objective_s"] <= phase["greedy_objective_s"]
+
+
 def test_simulate_missing_trace_exit2(tmp_path, capsys):
     code = main(["simulate", *SMALL, "--trace", "missing.csv",
                  "--out", str(tmp_path / "x")])

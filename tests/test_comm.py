@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_chiplet, make_system
+import lamosim
 from lamosim.comm import (
     EmptyGroup,
     MeshCoord,
@@ -15,7 +18,7 @@ from lamosim.comm import (
     link_energy,
     manhattan,
 )
-from lamosim.hwspec import Role
+from lamosim.hwspec import Role, load_system
 
 
 def wide_system():
@@ -60,6 +63,19 @@ def test_manhattan_symmetry():
     a = MeshCoord((0, 0), (1, 2))
     b = MeshCoord((3, 0), (2, 0))
     assert manhattan(a, b, s) == manhattan(b, a, s)
+
+
+@pytest.mark.parametrize("name", ["system_ref", "system_small"])
+def test_manhattan_symmetric_on_every_pe_pair(name):
+    """Stage placement costs each pair of groups once and relies on this."""
+    s = load_system(str(Path(lamosim.__file__).parent / "configs" / f"{name}.json"))
+    pes = [MeshCoord(chip, (px, py)) for chip in sorted(s.placement)
+           for py in range(s.chiplet_at(chip).pe_rows)
+           for px in range(s.chiplet_at(chip).pe_cols)]
+    assert len(pes) == {"system_ref": 208, "system_small": 16}[name]
+    for a in pes:
+        for b in pes:
+            assert manhattan(a, b, s) == manhattan(b, a, s), (a, b)
 
 
 def test_link_delay_linear():

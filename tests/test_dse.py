@@ -531,6 +531,17 @@ def test_system_dse_seed_wave_stays_in_budget(counts, budget):
     assert res.sim_count <= budget
 
 
+def test_system_dse_last_wave_spends_the_budget_left():
+    """The seed wave's 6 entries cycle through 2 designs; the wave after it is
+    cut from 8 proposals to the 4 simulations left instead of being skipped."""
+    pcs, dcs = _candidates()
+    res = dse.system_dse(make_system(), make_model(), _trace(), pcs, dcs,
+                         [(2, 2), (1, 3)], dse.Slo(), budget=7, seed=0, wave=8)
+    assert not res.exhaustive
+    assert len(res.evaluated) == 6
+    assert res.sim_count == 7
+
+
 def test_system_dse_no_feasible_design_histogram():
     pcs, dcs = _candidates()
     with pytest.raises(dse.NoFeasibleDesign) as exc:

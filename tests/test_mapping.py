@@ -5,7 +5,9 @@ pool (spares implicit) and scores it with its own span/center arithmetic; the
 placement oracle enumerates every injective stage->group assignment and scores
 it with independently recomputed collective and transfer costs. Swap
 refinement is checked against `_swap_refine` below, which rescores the whole
-grouping with `grouping_objective` for every trial swap.
+grouping with `grouping_objective` for every trial swap, and the annealer
+against `rebuilding_place_stages`, which rebuilds its unused-group list for
+every trial move: their placements must be equal, not just as good.
 """
 
 from __future__ import annotations
@@ -295,6 +297,135 @@ def test_place_stages_errors():
         place_stages(grouping, pool, 3, n_layers=4, act_bytes=0, spec=spec, seed=0)
     with pytest.raises(ValueError):
         place_stages(grouping, pool, 2, n_layers=1, act_bytes=0, spec=spec, seed=0)
+
+
+def rebuilding_place_stages(grouping, pool, n_stages, n_layers, act_bytes, spec, seed):
+    """The annealer as it was before its trials were made independent of the
+    pool size: it rebuilds the unused-group list on every move trial, fills
+    both halves of the handoff matrix, and copies lists with list()."""
+    n_groups = len(grouping.groups)
+    if n_stages < 1:
+        raise ValueError("n_stages must be >= 1")
+    if n_stages > n_groups:
+        raise TooManyStages(f"{n_stages} stages but only {n_groups} groups")
+    if n_layers < n_stages:
+        raise ValueError("need at least one layer per stage")
+
+    members_by_group = [
+        [pool[i] for i in g] for g in grouping.groups
+    ]
+    centers = [group_center_coord(m, spec) for m in members_by_group]
+    ar_cost = [
+        allreduce_cost(members, center, act_bytes, spec).latency_s
+        for members, center in zip(members_by_group, centers)
+    ]
+    bounds = mapping._layer_partition(n_layers, n_stages)
+    # stage_cost[s][g]: all-reduce latency of stage s when mapped onto group g
+    stage_cost = [
+        [(hi - lo) * 2 * ar_cost[g] for g in range(n_groups)]
+        for lo, hi in bounds
+    ]
+    transfer = [[0.0] * n_groups for _ in range(n_groups)]
+    for ga in range(n_groups):
+        for gb in range(n_groups):
+            if ga == gb:
+                continue
+            noc, nop = manhattan(centers[ga], centers[gb], spec)
+            transfer[ga][gb] = link_delay(act_bytes, noc, nop, spec)
+
+    def objective(assign: list[int]) -> float:
+        total = sum(stage_cost[s][g] for s, g in enumerate(assign))
+        for s in range(len(assign) - 1):
+            total += transfer[assign[s]][assign[s + 1]]
+        return total
+
+    # Greedy: stages in order take the best unused group.
+    assign: list[int] = []
+    used: set[int] = set()
+    for s in range(n_stages):
+        best_g = min(
+            (g for g in range(n_groups) if g not in used),
+            key=lambda g: (stage_cost[s][g]
+                           + (transfer[assign[-1]][g] if assign else 0.0), g),
+        )
+        assign.append(best_g)
+        used.add(best_g)
+    greedy_obj = objective(assign)
+    if n_stages == 1:  # the greedy pick is already the argmin over groups
+        return mapping.StagePlacement(tuple(assign), tuple(bounds), greedy_obj, greedy_obj)
+
+    rng = random.Random(seed)
+    best = list(assign)
+    best_obj = greedy_obj
+    cur = list(assign)
+    cur_obj = greedy_obj
+    t0 = max(greedy_obj * 0.1, 1e-12)
+    t = t0
+    while t > t0 * 1e-3:
+        for _ in range(mapping._ANNEAL_ITERS):
+            trial = list(cur)
+            if n_groups == n_stages or rng.random() < 0.5:
+                i, j = rng.sample(range(n_stages), 2)
+                trial[i], trial[j] = trial[j], trial[i]
+            else:
+                unused = [g for g in range(n_groups) if g not in trial]
+                trial[rng.randrange(n_stages)] = unused[rng.randrange(len(unused))]
+            trial_obj = objective(trial)
+            delta = trial_obj - cur_obj
+            if delta <= 0 or rng.random() < math.exp(-delta / t):
+                cur, cur_obj = trial, trial_obj
+                if cur_obj < best_obj:
+                    best, best_obj = list(cur), cur_obj
+        t *= mapping._ANNEAL_COOLING
+    return mapping.StagePlacement(
+        stage_groups=tuple(best),
+        layer_bounds=tuple(bounds),
+        objective=best_obj,
+        greedy_objective=greedy_obj,
+    )
+
+
+# (role, tp, stages, act_bytes, seed) on the test system's 8-PE pools: 8, 4 and
+# 2 groups. Annealing beats the greedy start in six of them, so accepted moves
+# update the unused-group list; 2 groups or 4 of 4 leave it swaps only.
+_SMALL_CASES = [
+    (Role.PREFILL, 1, 2, 4096, 0), (Role.PREFILL, 1, 3, 1 << 20, 1),
+    (Role.PREFILL, 1, 4, 64, 0), (Role.PREFILL, 1, 5, 64, 1),
+    (Role.PREFILL, 2, 2, 1 << 20, 0), (Role.PREFILL, 2, 4, 4096, 1),
+    (Role.PREFILL, 3, 2, 4096, 0), (Role.DECODE, 1, 3, 4096, 0),
+    (Role.DECODE, 1, 5, 1 << 20, 1), (Role.DECODE, 2, 2, 4096, 1),
+    (Role.DECODE, 2, 3, 64, 0), (Role.DECODE, 3, 2, 1 << 20, 1),
+]
+
+
+def test_place_stages_matches_rebuilding_oracle_on_small_pools():
+    spec = make_system()
+    improved = 0
+    for role, tp, n_stages, act_bytes, seed in _SMALL_CASES:
+        pool = pool_pe_coords(spec, role)
+        grouping = cached_tp_group(pool, tp, spec)
+        args = (grouping, pool, n_stages, 10, act_bytes, spec, seed)
+        got = place_stages(*args)
+        assert got == rebuilding_place_stages(*args), (role, tp, n_stages, act_bytes, seed)
+        improved += got.objective < got.greedy_objective
+    assert improved >= 3
+
+
+@pytest.mark.parametrize("role,tp,pp,act_bytes,seed", [
+    (Role.DECODE, 4, 8, 8192, 1),          # bench/plan.json's decode shape: 32 groups
+    (Role.DECODE, 2, 2, 8192, 1),          # 64 groups
+    (Role.PREFILL, 5, 4, 512 * 8192, 0),   # 16 groups; annealing beats greedy
+])
+def test_place_stages_matches_rebuilding_oracle_on_reference_pools(
+        role, tp, pp, act_bytes, seed):
+    """model_mid's handoffs (d_model 4096, 2-byte dtype; 512 prefill tokens)."""
+    spec = load_system(str(Path(lamosim.__file__).parent / "configs" / "system_ref.json"))
+    pool = pool_pe_coords(spec, role)
+    args = (cached_tp_group(pool, tp, spec), pool, pp, 40, act_bytes, spec, seed)
+    got = place_stages(*args)
+    assert got == rebuilding_place_stages(*args)
+    if role is Role.PREFILL:
+        assert got.objective < got.greedy_objective
 
 
 # --- plan assembly --------------------------------------------------------------
