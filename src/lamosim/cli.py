@@ -183,10 +183,14 @@ def _parse_trace(arg: str, seed: int):
     if head not in TRACE_MEANS and head != "custom":
         raise UsageError(f"trace file not found: {arg}")
     kw = {"rate": 1.0, "n": 32, "mean_in": None, "mean_out": None}
+    given = set()
     for field in filter(None, rest.split(":")):
         key, eq, val = field.partition("=")
         if not eq or key not in kw:
             raise UsageError(f"bad trace spec field {field!r} in {arg!r}")
+        if key in given:
+            raise UsageError(f"trace spec field {key!r} given twice in {arg!r}")
+        given.add(key)
         try:
             kw[key] = float(val) if key == "rate" else int(val)
         except ValueError:

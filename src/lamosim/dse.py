@@ -195,7 +195,7 @@ def chiplet_dse(base: ChipletSpec, n_samples: int, seed: int,
     for sample in stratified_samples(dom, n_samples, seed):
         try:
             cand = chiplet_from_sample(base, sample)
-        except Exception as e:  # spec constructors validate eagerly
+        except ValueError as e:  # spec constructors validate eagerly
             rejects[type(e).__name__] += 1
             continue
         vio = chiplet_violations("candidate", cand)

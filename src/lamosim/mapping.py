@@ -24,11 +24,13 @@ start, each trial O(stages) on any pool). Its objective is the latency the
 assignment decides: two all-reduces per layer on each stage's group plus the
 activation handoffs between consecutive stages. Stage compute is the same on
 every group and so adds one constant to every assignment; placement leaves it
-out and runs no dataflow search. Plan assembly pairs prefill groups with
-decode KV owners and checks every stage's weight shard plus KV budget share
-(`stage_bytes`, the one capacity rule, which `dse` also ranks shapes by)
-against the group's DRAM slice; `kv_headroom` inverts that check, to within
-the bytes its floor division admits.
+out and runs no dataflow search. Plan assembly checks every stage's weight
+shard plus KV budget share (`stage_bytes`, the one capacity rule, which `dse`
+also ranks shapes by) against the group's DRAM slice; `kv_headroom` inverts
+that check, to within the bytes its floor division admits. The KV destination
+table `PdPlan.kv_dest` names the decode PE each prefill PE sends each layer's
+KV to: prefill shard i sends to shard i * tp_decode // tp_prefill of the
+layer's decode stage.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ Coord = tuple[int, int]
 
 
 class TooManyStages(ValueError):
-    """More pipeline stages than available groups."""
+    """More pipeline stages than available groups, or than model layers."""
 
 
 class CapacityExceeded(Exception):
@@ -391,7 +393,7 @@ def place_stages(grouping: TpGrouping, pool: list[MeshCoord], n_stages: int,
     if n_stages > n_groups:
         raise TooManyStages(f"{n_stages} stages but only {n_groups} groups")
     if n_layers < n_stages:
-        raise ValueError("need at least one layer per stage")
+        raise TooManyStages(f"{n_stages} stages but only {n_layers} layers")
 
     members_by_group = [
         [pool[i] for i in g] for g in grouping.groups
@@ -486,20 +488,12 @@ class PhasePlan:
 
 
 @dataclass(frozen=True)
-class KvPeer:
-    pre_stage: int
-    pre_coord: MeshCoord
-    dec_stage: int
-    dec_coord: MeshCoord
-    layer_lo: int
-    layer_hi: int
-
-
-@dataclass(frozen=True)
 class PdPlan:
     prefill: PhasePlan
     decode: PhasePlan
-    kv_peers: tuple[KvPeer, ...]
+    # [prefill stage][member PE, shard order][layer offset in the stage]: the
+    # decode PE that receives that PE's KV pages of that layer
+    kv_dest: tuple[tuple[tuple[MeshCoord, ...], ...], ...]
 
 
 def estimate_layer_costs(model: ModelSpec, chiplet: ChipletSpec, phase: ops.Phase,
@@ -603,18 +597,13 @@ def build_pd_plan(spec: SystemSpec, model: ModelSpec, *,
                 raise CapacityExceeded(
                     f"{plan.phase.value} stage {s}: needs {need} B "
                     f"(layers {lo}..{hi}), group slice holds {cap} B")
-    peers = []
-    for ps, pre_members in enumerate(prefill.stage_members):
-        plo, phi = prefill.layer_bounds[ps]
-        for ds, dec_members in enumerate(decode.stage_members):
-            dlo, dhi = decode.layer_bounds[ds]
-            lo, hi = max(plo, dlo), min(phi, dhi)
-            if lo >= hi:
-                continue
-            for i, pre_pe in enumerate(pre_members):
-                j = i * tp_decode // tp_prefill
-                peers.append(KvPeer(
-                    pre_stage=ps, pre_coord=pre_pe,
-                    dec_stage=ds, dec_coord=dec_members[j],
-                    layer_lo=lo, layer_hi=hi))
-    return PdPlan(prefill=prefill, decode=decode, kv_peers=tuple(peers))
+    # each layer's decode-stage members; prefill shard i sends its KV to
+    # decode shard i * tp_decode // tp_prefill of the layer's decode stage
+    dec_members = [m for (lo, hi), m in zip(decode.layer_bounds, decode.stage_members)
+                   for _ in range(lo, hi)]
+    kv_dest = tuple(
+        tuple(tuple(dec_members[layer][i * tp_decode // tp_prefill]
+                    for layer in range(lo, hi))
+              for i in range(tp_prefill))
+        for lo, hi in prefill.layer_bounds)
+    return PdPlan(prefill=prefill, decode=decode, kv_dest=kv_dest)

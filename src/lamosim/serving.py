@@ -11,8 +11,8 @@ stage does:
 - Prefill admits FCFS jobs of up to max_prefill_batch requests, hands on one
   row per prompt token, and emits each request's first token at the last
   stage. KV pages migrate per layer as soon as that layer's QKV projection
-  has produced them, serialized through one FIFO per (source chiplet,
-  destination chiplet) pair.
+  has produced them, to the decode PE the plan's KV destination table names,
+  serialized through one FIFO per (source chiplet, destination chiplet) pair.
 - Decode runs iteration-level batching: a beat forms from every resident
   request not already in flight (continuous mode) or from the frozen batch
   (static mode), each contributing one token against its own context, and
@@ -108,6 +108,9 @@ def synth_trace(source: str, n: int, rate_rps: float, seed: int,
         if mean_input is None or mean_output is None:
             raise ValueError("custom trace needs mean_input and mean_output")
         mi, mo = mean_input, mean_output
+        for name, mean in (("mean_input", mi), ("mean_output", mo)):
+            if not mean >= 1:  # also true for NaN
+                raise ValueError(f"{name} must be >= 1, got {mean}")
     else:
         try:
             mi, mo = TRACE_MEANS[source]
@@ -137,13 +140,16 @@ _TRACE_COLUMNS = {"rid": int, "arrival_s": float, "input_len": int, "output_len"
 
 def load_trace_csv(path: str) -> tuple[Request, ...]:
     """Requests from a CSV with dump_trace_csv's columns. Raises ValueError
-    naming a missing column, or the line and cells of a bad row."""
+    naming a missing column, or the line and cells of a bad row, or when the
+    file holds no request."""
     with open(path, newline="") as f:
         reader = csv.DictReader(f)
         missing = [c for c in _TRACE_COLUMNS if c not in (reader.fieldnames or ())]
         if missing:
             raise ValueError(f"missing columns {missing}")
         rows = list(reader)
+    if not rows:
+        raise ValueError("no requests")
     trace = []
     for line, row in enumerate(rows, start=2):
         try:
@@ -293,6 +299,7 @@ class _ReqState:
     is done once, in addition, no token is left."""
 
     req: Request
+    kv_bytes: int  # the request's KV footprint in the decode pool
     ttft: float | None = None
     last_tok: float | None = None
     gap_sum: float = 0.0  # decode gaps, added in token order
@@ -382,14 +389,11 @@ class _Sim:
         self.pre = _PhaseCtx(spec, plan.prefill, temps)
         self.dec = _PhaseCtx(spec, plan.decode, temps)
         # decode step t attends over prompt + t generated tokens
-        self.states = [_ReqState(req=r, ctx=r.input_len + 1, left=r.output_len - 1)
+        kv_per_token = model.kv_bytes_per_token()
+        self.states = [_ReqState(req=r, kv_bytes=(r.input_len + r.output_len) * kv_per_token,
+                                 ctx=r.input_len + 1, left=r.output_len - 1)
                        for r in sorted(trace, key=lambda r: (r.arrival_s, r.rid))]
-        # (pre_stage, shard index) -> [(layer_lo, layer_hi, decode coord)]
-        self.peer_map: dict[tuple[int, int], list[tuple[int, int, MeshCoord]]] = {}
-        for p in plan.kv_peers:
-            i = plan.prefill.stage_members[p.pre_stage].index(p.pre_coord)
-            self.peer_map.setdefault((p.pre_stage, i), []).append(
-                (p.layer_lo, p.layer_hi, p.dec_coord))
+        self.kv_dest = plan.kv_dest
         self.kv_shard_layer_bytes = (
             2 * ops.kv_heads_per_shard(model, plan.prefill.tp)
             * model.d_head * model.dtype_bytes)
@@ -402,7 +406,7 @@ class _Sim:
         self.stage_executions = 0
         self.pre_q: deque[_ReqState] = deque()
         self.pool: list[_ReqState] = []
-        self.kv_wait_q: deque[tuple[_ReqState, int]] = deque()
+        self.kv_wait_q: deque[_ReqState] = deque()
         self.kv_used = 0
         self.kv_overflow = False
         self.static_batch: list[_ReqState] | None = None
@@ -597,21 +601,17 @@ class _Sim:
 
     def _schedule_kv_sends(self, s: int, states: list[_ReqState],
                            cost: _StageCost) -> None:
-        """Queue this stage's KV pages onto the chiplet-pair bridges, layer by
-        layer as QKV completes inside the running stage."""
-        lo = self.pre.bounds[s][0]
-        for i, src in enumerate(self.pre.members[s]):
-            routes = self.peer_map.get((s, i), [])
+        """Queue this stage's KV pages onto the chiplet-pair bridges to their
+        `kv_dest` PEs, layer by layer as QKV completes inside the stage."""
+        for src, dests in zip(self.pre.members[s], self.kv_dest[s]):
             for st in states:
                 if st.req.output_len == 1:
                     continue
                 per_layer = st.req.input_len * self.kv_shard_layer_bytes
-                for (plo, phi, dst) in routes:
-                    for layer in range(plo, phi):
-                        ready = self.now + (layer - lo) * cost.layer_s \
-                            + cost.qkv_offset_s
-                        st.outstanding_kv += 1
-                        self.at(ready, self._bridge_send, st, src, dst, per_layer)
+                for k, dst in enumerate(dests):
+                    ready = self.now + k * cost.layer_s + cost.qkv_offset_s
+                    st.outstanding_kv += 1
+                    self.at(ready, self._bridge_send, st, src, dst, per_layer)
 
     def _bridge_send(self, st: _ReqState, src: MeshCoord, dst: MeshCoord,
                      nbytes: int) -> None:
@@ -632,20 +632,18 @@ class _Sim:
 
     def _mark_ready(self, st: _ReqState) -> None:
         st.ready_time = self.now
-        need = (st.req.input_len + st.req.output_len) \
-            * self.model.kv_bytes_per_token()
         budget = self.cfg.kv_budget_bytes
-        if budget is not None and need > budget:
+        if budget is not None and st.kv_bytes > budget:
             raise KvOverflow(
-                f"request {st.req.rid} needs {need} B KV, budget {budget} B")
-        if budget is not None and self.kv_used + need > budget:
+                f"request {st.req.rid} needs {st.kv_bytes} B KV, budget {budget} B")
+        if budget is not None and self.kv_used + st.kv_bytes > budget:
             self.kv_overflow = True
-            self.kv_wait_q.append((st, need))
+            self.kv_wait_q.append(st)
             return
-        self._admit(st, need)
+        self._admit(st)
 
-    def _admit(self, st: _ReqState, need: int) -> None:
-        self.kv_used += need
+    def _admit(self, st: _ReqState) -> None:
+        self.kv_used += st.kv_bytes
         st.admit_time = self.now
         self.pool.append(st)
         self._try_decode_start()
@@ -692,16 +690,14 @@ class _Sim:
 
     def _retire(self, st: _ReqState) -> None:
         self.pool.remove(st)
-        need = (st.req.input_len + st.req.output_len) \
-            * self.model.kv_bytes_per_token()
-        self.kv_used -= need
+        self.kv_used -= st.kv_bytes
         while self.kv_wait_q:
-            nxt, nxt_need = self.kv_wait_q[0]
+            nxt = self.kv_wait_q[0]
             if self.cfg.kv_budget_bytes is not None \
-                    and self.kv_used + nxt_need > self.cfg.kv_budget_bytes:
+                    and self.kv_used + nxt.kv_bytes > self.cfg.kv_budget_bytes:
                 break
             self.kv_wait_q.popleft()
-            self._admit(nxt, nxt_need)
+            self._admit(nxt)
 
     # -- results --
 

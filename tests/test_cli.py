@@ -197,14 +197,20 @@ def test_simulate_explicit_plan_file(tmp_path):
     assert (echoed["decode"]["tp"], echoed["decode"]["pp"]) == (2, 1)
 
 
-def test_simulate_plan_wider_than_pool_exit3(tmp_path, capsys):
+@pytest.mark.parametrize("plan_json, message", [
+    ({"prefill": {"tp": 200, "pp": 1}, "decode": {"tp": 2, "pp": 1}},
+     "cannot form a group of 200"),
+    # model_tiny has 2 layers
+    ({"prefill": {"tp": 1, "pp": 4}, "decode": {"tp": 4, "pp": 2}},
+     "4 stages but only 2 layers"),
+], ids=["tp_wider_than_pool", "pp_deeper_than_model"])
+def test_simulate_plan_wider_than_pool_exit3(tmp_path, capsys, plan_json, message):
     plan = tmp_path / "plan.json"
-    plan.write_text(json.dumps({"prefill": {"tp": 200, "pp": 1},
-                                "decode": {"tp": 2, "pp": 1}}))
+    plan.write_text(json.dumps(plan_json))
     code = main(["simulate", "--system", "system_ref.json", "--model", "model_tiny.json",
                  "--trace", TRACE, "--out", str(tmp_path / "x"), "--plan", str(plan)])
     assert code == 3
-    assert "cannot form a group of 200" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
 
 
 def test_simulate_auto_plan_without_decode_chiplets_exit3(tmp_path, capsys):
@@ -451,6 +457,19 @@ BAD_INPUTS = {
                                   "custom:n=2:mean_in=8.5:mean_out=4"], None, "mean_in"),
     "trace_spec_family_mean": (["simulate", *SMALL, "--trace", "code:n=2:mean_in=50"],
                                None, "fixed means"),
+    "trace_spec_mean_below_one": (["simulate", *SMALL, "--trace",
+                                   "custom:n=2:mean_in=0:mean_out=4"], None,
+                                  "mean_input must be >= 1"),
+    "trace_spec_repeated_field": (["simulate", *SMALL, "--trace",
+                                   "custom:n=2:mean_in=8:mean_out=4:n=5"], None,
+                                  "field 'n' given twice"),
+    "trace_csv_no_requests": (["simulate", *SMALL, "--trace", INPUT], TRACE_HEADER,
+                              "no requests"),
+    "dse_trace_csv_no_requests": (["dse", "--level", "system", *SMALL, "--trace", INPUT,
+                                   "--budget", "3"], TRACE_HEADER, "no requests"),
+    "gen_trace_mean_negative": (["gen-trace", "--source", "custom", "--n", "4",
+                                 "--mean-input", "-5", "--mean-output", "3"], None,
+                                "mean_input must be >= 1"),
     "gen_trace_family_mean": (["gen-trace", "--source", "code", "--n", "4",
                                "--mean-input", "50"], None, "fixed means"),
     "counts_zero": ([*DSE_SYSTEM, "--budget", "3", "--counts", "0,1"], None, "--counts"),

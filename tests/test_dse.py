@@ -159,6 +159,17 @@ def test_chiplet_dse_deterministic():
     assert a == b
 
 
+def test_chiplet_dse_counts_only_validation_errors_as_rejects(monkeypatch):
+    """A ValueError from a sample is a reject; any other error is a fault in
+    the program and propagates instead of being counted."""
+    def broken(base, sample):
+        raise TypeError("not a validation error")
+
+    monkeypatch.setattr(dse, "chiplet_from_sample", broken)
+    with pytest.raises(TypeError, match="not a validation error"):
+        dse.chiplet_dse(make_chiplet(), n_samples=4, seed=0)
+
+
 def test_chiplet_dse_domain_axes_exact():
     full = dict(dse.DEFAULT_CHIPLET_DOMAIN)
     with pytest.raises(ValueError, match="unknown \\['nop_channels'\\]"):

@@ -462,19 +462,28 @@ def test_build_pd_plan_shape(tiny_model, system):
     assert dec_chips <= set(system.coords_for_role(Role.DECODE))
 
 
+def kv_routes(plan):
+    """(prefill stage, shard) -> [(layer, decode PE)] in the order kv_dest
+    lists them, which is the order the engine sends them in."""
+    return {(ps, i): [(lo + k, dst) for k, dst in enumerate(dests)]
+            for ps, ((lo, _), shards) in enumerate(zip(plan.prefill.layer_bounds,
+                                                        plan.kv_dest))
+            for i, dests in enumerate(shards)}
+
+
 def test_kv_peers_cover_all_prefill_shards(tiny_model, system):
     plan = build_pd_plan(
         system, tiny_model,
         tp_prefill=2, pp_prefill=2, tp_decode=2, pp_decode=1,
         kv_budget_decode_bytes=1 << 20, ref_tokens=16)
     # Each prefill stage holds one layer; every shard sends to its decode twin.
-    assert len(plan.kv_peers) == 4
-    for peer in plan.kv_peers:
-        assert peer.layer_hi - peer.layer_lo == 1
-        assert peer.dec_stage == 0
+    routes = kv_routes(plan)
+    assert len(routes) == 4
+    for sends in routes.values():
+        assert len(sends) == 1
+        assert sends[0][1] in plan.decode.stage_members[0]
     # Shard i of prefill maps to shard i*tp_dec//tp_pre of decode.
-    pre0 = [p for p in plan.kv_peers if p.pre_stage == 0]
-    assert [p.dec_coord for p in pre0] == list(plan.decode.stage_members[0][:2])
+    assert [dests[0] for dests in plan.kv_dest[0]] == list(plan.decode.stage_members[0][:2])
 
 
 def test_kv_peers_tp_downscale(tiny_model, system):
@@ -482,10 +491,55 @@ def test_kv_peers_tp_downscale(tiny_model, system):
         system, tiny_model,
         tp_prefill=4, pp_prefill=1, tp_decode=2, pp_decode=1,
         kv_budget_decode_bytes=1 << 20, ref_tokens=16)
-    peers = [p for p in plan.kv_peers if p.pre_stage == 0]
-    assert len(peers) == 4
+    shards = plan.kv_dest[0]
+    assert len(shards) == 4
     dec = plan.decode.stage_members[0]
-    assert [p.dec_coord for p in peers] == [dec[0], dec[0], dec[1], dec[1]]
+    assert [set(dests) for dests in shards] == [{dec[0]}, {dec[0]}, {dec[1]}, {dec[1]}]
+
+
+def peer_loop_routes(plan, tp_prefill, tp_decode):
+    """The KV routes as build_pd_plan listed them before the destination
+    table: one peer record per (prefill stage, overlapping decode stage,
+    prefill shard) with its layer range, which the engine looked the shard up
+    for and expanded layer by layer."""
+    prefill, decode = plan.prefill, plan.decode
+    peers = []
+    for ps, pre_members in enumerate(prefill.stage_members):
+        plo, phi = prefill.layer_bounds[ps]
+        for ds, dec_members in enumerate(decode.stage_members):
+            dlo, dhi = decode.layer_bounds[ds]
+            lo, hi = max(plo, dlo), min(phi, dhi)
+            if lo >= hi:
+                continue
+            for i, pre_pe in enumerate(pre_members):
+                j = i * tp_decode // tp_prefill
+                peers.append((ps, pre_pe, ds, dec_members[j], lo, hi))
+    routes = {}
+    for ps, pre_coord, _, dec_coord, lo, hi in peers:
+        i = prefill.stage_members[ps].index(pre_coord)
+        routes.setdefault((ps, i), []).extend((layer, dec_coord) for layer in range(lo, hi))
+    return routes
+
+
+@pytest.mark.parametrize("n_layers, tp_pre, pp_pre, tp_dec, pp_dec", [
+    (2, 2, 2, 2, 1), (2, 4, 1, 2, 1), (3, 4, 2, 2, 3), (3, 1, 1, 2, 3),
+    (4, 1, 3, 2, 4), (4, 2, 4, 1, 3), (5, 2, 2, 1, 3), (5, 2, 2, 2, 3),
+    (5, 1, 2, 2, 3), (5, 2, 2, 4, 2), (5, 4, 1, 1, 5), (7, 1, 3, 1, 4),
+    (7, 2, 3, 4, 2),
+])
+def test_kv_dest_matches_peer_loop(system, n_layers, tp_pre, pp_pre, tp_dec, pp_dec):
+    """Every prefill PE sends each layer's KV to the same decode PE, in the
+    same order, as the per-peer records did, including stage boundaries that
+    do not line up and prefill wider than, as wide as, and narrower than
+    decode."""
+    plan = build_pd_plan(system, make_model(n_layers=n_layers),
+                         tp_prefill=tp_pre, pp_prefill=pp_pre, tp_decode=tp_dec,
+                         pp_decode=pp_dec, kv_budget_decode_bytes=1 << 20, ref_tokens=8)
+    routes = kv_routes(plan)
+    assert routes == peer_loop_routes(plan, tp_pre, tp_dec)
+    assert len(routes) == tp_pre * pp_pre
+    assert sorted(layer for sends in routes.values() for layer, _ in sends) == \
+        sorted(list(range(n_layers)) * tp_pre)
 
 
 def test_capacity_exceeded(tiny_model, system):
