@@ -114,9 +114,11 @@ def _config_path(arg: str) -> Path:
 def _load_config(arg: str, parse: Callable[[Any], Any]) -> tuple[Any, str]:
     """(parse(JSON of the file), sha256 of the file bytes); errors name the file."""
     path = _config_path(arg)
-    data = path.read_bytes()
     try:
+        data = path.read_bytes()
         return parse(json.loads(data)), hashlib.sha256(data).hexdigest()
+    except OSError as e:
+        raise UsageError(f"{arg}: unreadable ({e.strerror})") from None
     except json.JSONDecodeError as e:
         raise UsageError(f"{path}: invalid JSON ({e})") from None
     except ConfigError as e:
@@ -176,9 +178,11 @@ def _parse_trace(arg: str, seed: int):
     if os.path.exists(arg):
         try:
             trace = load_trace_csv(arg)
+            return trace, {"trace": hashlib.sha256(Path(arg).read_bytes()).hexdigest()}
+        except OSError as e:
+            raise UsageError(f"{arg}: unreadable ({e.strerror})") from None
         except ValueError as e:
             raise UsageError(f"{arg}: {e}") from None
-        return trace, {"trace": hashlib.sha256(Path(arg).read_bytes()).hexdigest()}
     head, _, rest = arg.partition(":")
     if head not in TRACE_MEANS and head != "custom":
         raise UsageError(f"trace file not found: {arg}")
@@ -507,6 +511,8 @@ def _parse_counts(args, template) -> list[tuple[int, int]]:
                 raise UsageError(f"--counts takes N_PC,N_DC, got {c!r}") from None
             if n_pc < 1 or n_dc < 1:
                 raise UsageError(f"--counts needs at least one chiplet per pool, got {c!r}")
+            if (n_pc, n_dc) in out:
+                raise UsageError(f"--counts {c!r} given twice")
             out.append((n_pc, n_dc))
         return out
     roles = [template.chiplet_types[n].role for n in template.placement.values()]
@@ -520,6 +526,8 @@ def _load_candidates(args, template, configs):
             args.candidates, lambda obj: parse_json(Candidates, obj, "candidates"))
         if not cands.pc or not cands.dc:
             raise UsageError(f"{args.candidates}: both candidate lists must be non-empty")
+        if len(set(cands.pc)) < len(cands.pc) or len(set(cands.dc)) < len(cands.dc):
+            raise UsageError(f"{args.candidates}: a candidate list repeats a chiplet")
         return cands.pc, cands.dc
     pc = [template.chiplet_types[n] for n in sorted(template.chiplet_types)
           if template.chiplet_types[n].role is Role.PREFILL]
@@ -565,7 +573,7 @@ def cmd_dse_system(args) -> int:
     def run(map_fn):
         return system_dse(template, model, trace, pc, dc, counts, slo,
                           budget=args.budget, seed=args.seed, cfg=cfg,
-                          temp_c=args.temp_c, wave=args.wave, map_fn=map_fn)
+                          temp_c=args.temp_c, map_fn=map_fn)
 
     try:
         if jobs > 1:
@@ -607,7 +615,7 @@ def cmd_dse_system(args) -> int:
     out.finish(args.argv, configs, args.seed, t0,
                evaluations=len(res.evaluated), simulations=res.sim_count,
                exhaustive=res.exhaustive, recheck_ok=res.recheck_ok)
-    mode = "exhaustive" if res.exhaustive else "annealed"
+    mode = "exhaustive" if res.exhaustive else "best-first"
     print(f"dse system ({mode}): {len(res.evaluated)} designs, "
           f"{res.sim_count} simulations, recheck_ok={res.recheck_ok}")
     print(f"best: pc={b.point.pc} dc={b.point.dc} n_pc={b.point.n_pc} "
@@ -734,8 +742,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="pool sizes to explore (repeatable); default: the template's")
     p.add_argument("--slo-ttft", type=_finite, default=None, help="p95 TTFT bound, s")
     p.add_argument("--slo-tbt", type=_finite, default=None, help="p95 TBT bound, s")
-    p.add_argument("--wave", type=_at_least(int, 1), default=8,
-                   help="proposals per annealing wave")
     p.add_argument("--temp-c", type=_at_least(float, ABSOLUTE_ZERO_C), default=65.0)
     p.add_argument("--jobs", type=_at_least(int, 1), default=None,
                    help="worker processes; default: available cores")

@@ -14,8 +14,9 @@ Three layers, each usable on its own:
     every (pool, tp) is grouped once per process.
   * system_dse: budgeted search over (prefill chiplet, decode chiplet,
     pool counts). Exhaustive when the space fits the simulation budget,
-    otherwise a stratified seed wave plus simulated-annealing waves of a
-    fixed size, so results do not depend on worker count.
+    otherwise best-first: a stratified seed wave, then waves of the untried
+    grid neighbours of the best design that has any. Waves are fixed by the
+    results so far, so results do not depend on worker count.
 
 Budget here counts full serving simulations; candidates rejected by static
 validation are free.
@@ -476,22 +477,29 @@ def evaluate_design(point: DesignPoint, *, pc_candidates: Sequence[ChipletSpec],
     )
 
 
+def _neighbours(t: tuple[int, ...], axes: Sequence[int]) -> list[tuple[int, ...]]:
+    """The designs one step from `t` along one axis: axis by axis, -1 first."""
+    return [t[:a] + (t[a] + d,) + t[a + 1:]
+            for a in range(len(axes)) for d in (-1, 1) if 0 <= t[a] + d < axes[a]]
+
+
 def system_dse(template: SystemSpec, model: ModelSpec, trace,
                pc_candidates: Sequence[ChipletSpec],
                dc_candidates: Sequence[ChipletSpec],
                counts: Sequence[tuple[int, int]], slo: Slo, *,
                budget: int, seed: int = 0, cfg: SimConfig = SimConfig(),
-               temp_c: float = 65.0, wave: int = 8,
+               temp_c: float = 65.0,
                map_fn: Callable = map) -> SystemDseResult:
     """Budgeted constrained search, ranked by tokens per joule.
 
     At most `budget` simulations run. The whole space is enumerated when it
     fits inside the budget (one simulation is always reserved for
     re-checking the winner). Otherwise a stratified seed wave of at most
-    `budget - 1` designs is followed by annealing waves of `wave` proposals,
-    the last one cut to the budget left; each design is simulated once, and
-    whole waves are dispatched through map_fn, so any order-preserving
-    parallel map gives identical results.
+    `budget - 1` designs holds every value of every axis once, and each later
+    wave holds the unevaluated +-1 neighbours, along one axis, of the
+    best-ranked evaluated design that has any, cut to the budget left. Whole
+    waves are dispatched through map_fn, so any order-preserving parallel map
+    gives identical results.
     """
     if budget < 2:
         raise ValueError("budget must allow at least one evaluation plus a re-check")
@@ -515,10 +523,9 @@ def system_dse(template: SystemSpec, model: ModelSpec, trace,
     evaluated: dict[tuple[int, int, int], DesignEval] = {}
     sims = 0
 
-    def run_wave(batch: list[tuple[int, int, int]]) -> None:
+    def run_wave(batch: list[tuple[int, int, int]]) -> None:  # distinct, unevaluated
         nonlocal sims
-        todo = [t for t in dict.fromkeys(batch) if t not in evaluated]
-        for t, ev in zip(todo, map_fn(eval_fn, [to_point(t) for t in todo])):
+        for t, ev in zip(batch, map_fn(eval_fn, [to_point(t) for t in batch])):
             evaluated[t] = ev
             sims += ev.simulated
 
@@ -527,50 +534,20 @@ def system_dse(template: SystemSpec, model: ModelSpec, trace,
         return (ev.feasible, ev.tokens_per_joule, -order[t])
 
     exhaustive = len(triples) + 1 <= budget
-    rng = random.Random(seed)
     if exhaustive:
         run_wave(triples)
     else:
-        # stratified seed wave: every axis cycled under its own shuffle, with
-        # room left for the re-check
+        # stratified seed wave: every value of every axis once, each axis
+        # under its own shuffle, with room left for the re-check
+        rng = random.Random(seed)
         perms = [rng.sample(range(n), n) for n in axes]
-        seeds = [tuple(perms[a][i % axes[a]] for a in range(3))
-                 for i in range(min(wave, budget - 1))]
-        run_wave(seeds)
-        cur = max(evaluated, key=rank_key)
-        temp = 0.1
-        while (len(evaluated) < len(triples)  # the last wave is cut to the budget left
-               and (n := min(wave, budget - 1 - sims)) > 0):
-            proposals: list[tuple[int, int, int]] = []
-            for _ in range(n * 16):
-                if len(proposals) >= n:
-                    break
-                axis = rng.randrange(3)
-                step = rng.choice((-1, 1))
-                cand = list(cur)
-                cand[axis] = min(axes[axis] - 1, max(0, cand[axis] + step))
-                t = tuple(cand)
-                if t not in evaluated and t not in proposals:
-                    proposals.append(t)
-            if len(proposals) < n:
-                rest = sorted(set(triples) - set(evaluated) - set(proposals),
-                              key=order.__getitem__)
-                while rest and len(proposals) < n:
-                    proposals.append(rest.pop(rng.randrange(len(rest))))
-            if not proposals:
-                break
-            run_wave(proposals)
-            wave_best = max(proposals, key=rank_key)
-            if rank_key(wave_best) > rank_key(cur):
-                cur = wave_best
-            else:
-                ev_b, ev_c = evaluated[wave_best], evaluated[cur]
-                if ev_b.feasible and ev_c.tokens_per_joule > 0:
-                    gap = (ev_c.tokens_per_joule - ev_b.tokens_per_joule) \
-                        / ev_c.tokens_per_joule
-                    if rng.random() < math.exp(-gap / temp):
-                        cur = wave_best
-            temp *= 0.9
+        run_wave([tuple(perms[a][i % axes[a]] for a in range(3))
+                  for i in range(min(max(axes), budget - 1))])
+        # the grid is connected, so some evaluated design has an unevaluated neighbour
+        while len(evaluated) < len(triples) and (left := budget - 1 - sims) > 0:
+            wave = next(w for t in sorted(evaluated, key=rank_key, reverse=True)
+                        if (w := [n for n in _neighbours(t, axes) if n not in evaluated]))
+            run_wave(wave[:left])
 
     best_t = max(evaluated, key=rank_key)
     best = evaluated[best_t]

@@ -314,6 +314,27 @@ def test_dse_system_jobs_invariance(tmp_path):
     assert filecmp.cmp(a / "ranking.csv", b / "ranking.csv", shallow=False)
 
 
+def test_dse_system_budgeted_jobs_invariance(tmp_path):
+    """A best-first run (8 designs, budget 5) is byte-stable across --jobs."""
+    cands = tmp_path / "candidates.json"
+    types = json.loads((CONFIGS / "system_small.json").read_text())["chiplet_types"]
+    slow = {n: {**types[n], "clock_hz": 0.5e9} for n in types}
+    cands.write_text(json.dumps({"pc": [types["pc"], slow["pc"]],
+                                 "dc": [types["dc"], slow["dc"]]}))
+    digests = set()
+    for jobs in ("1", "2", "3"):
+        out = tmp_path / f"j{jobs}"
+        assert main(["dse", "--level", "system", *SMALL, "--trace", TRACE,
+                     "--candidates", str(cands), "--counts", "2,2", "--counts", "3,1",
+                     "--budget", "5", "--jobs", jobs, "--out", str(out)]) == 0
+        man = read_manifest(out)
+        assert man["exhaustive"] is False and man["simulations"] == 5
+        digests.add(man["result_digest"])
+        assert filecmp.cmp(tmp_path / "j1" / "ranking.csv", out / "ranking.csv",
+                           shallow=False)
+    assert len(digests) == 1
+
+
 @pytest.mark.parametrize("counts,workers", [(("2,2", "3,1"), [2]), (("2,2",), [])],
                          ids=["two_designs", "one_design"])
 def test_dse_system_jobs_capped_at_design_count(tmp_path, monkeypatch, counts, workers):
@@ -411,6 +432,12 @@ def edited(name: str, keys: tuple, value) -> str:
     return json.dumps(root)
 
 
+def candidates_text(pc: list, dc: list) -> str:
+    """A --candidates file listing system_small's chiplet types by name."""
+    types = json.loads((CONFIGS / "system_small.json").read_text())["chiplet_types"]
+    return json.dumps({"pc": [types[n] for n in pc], "dc": [types[n] for n in dc]})
+
+
 def plan_text(prefill: dict) -> str:
     return json.dumps({"prefill": prefill, "decode": {"tp": 2, "pp": 1}})
 
@@ -473,12 +500,17 @@ BAD_INPUTS = {
     "gen_trace_family_mean": (["gen-trace", "--source", "code", "--n", "4",
                                "--mean-input", "50"], None, "fixed means"),
     "counts_zero": ([*DSE_SYSTEM, "--budget", "3", "--counts", "0,1"], None, "--counts"),
+    "counts_repeated": ([*DSE_SYSTEM, "--budget", "3", "--counts", "1,1", "--counts", "1,1"],
+                        None, "--counts '1,1' given twice"),
+    "candidates_repeated_pc": ([*DSE_SYSTEM, "--budget", "3", "--candidates", INPUT],
+                               candidates_text(["pc", "pc"], ["dc"]), "repeats a chiplet"),
+    "candidates_repeated_dc": ([*DSE_SYSTEM, "--budget", "3", "--candidates", INPUT],
+                               candidates_text(["pc"], ["dc", "dc"]), "repeats a chiplet"),
     "system_budget_one": ([*DSE_SYSTEM, "--budget", "1"], None, "--budget"),
     "chiplet_budget_zero": ([*DSE_CHIPLET, "--budget", "0"], None, "--budget"),
     "max_decode_batch_zero": ([*SIM_SMALL, "--max-decode-batch", "0"], None,
                               "--max-decode-batch"),
     "eps_negative": ([*DSE_CHIPLET, "--budget", "4", "--eps", "-1"], None, "--eps"),
-    "wave_zero": ([*DSE_SYSTEM, "--budget", "3", "--wave", "0"], None, "--wave"),
     "kv_budget_negative": ([*SIM_SMALL, "--kv-budget-mb", "-1"], None, "--kv-budget-mb"),
     "jobs_zero": ([*DSE_SYSTEM, "--budget", "3", "--jobs", "0"], None, "--jobs"),
     "jobs_negative": ([*DSE_SYSTEM, "--budget", "3", "--jobs", "-1"], None, "--jobs"),
@@ -516,6 +548,19 @@ BAD_INPUTS = {
                           TRACE_HEADER + "0,nan,5,3\n", "arrival_s"),
     "trace_arrival_inf": (["simulate", *SMALL, "--trace", INPUT],
                           TRACE_HEADER + "0,inf,5,3\n", "arrival_s"),
+    # a directory where a file is read: CONFIGS stands for any directory
+    "system_directory": (["simulate", "--system", str(CONFIGS), "--model", "model_tiny.json",
+                          "--trace", "code:n=2"], None, "unreadable"),
+    "model_directory": (["simulate", "--system", "system_small.json", "--model", str(CONFIGS),
+                         "--trace", "code:n=2"], None, "unreadable"),
+    "trace_directory": (["simulate", *SMALL, "--trace", str(CONFIGS)], None, "unreadable"),
+    "plan_directory": ([*SIM_SMALL, "--plan", str(CONFIGS)], None, "unreadable"),
+    "pe_directory": (["dataflow", "--shape", "4x64x64", "--pe", str(CONFIGS)], None,
+                     "unreadable"),
+    "domain_directory": ([*DSE_CHIPLET, "--budget", "4", "--domain", str(CONFIGS)], None,
+                         "unreadable"),
+    "candidates_directory": ([*DSE_SYSTEM, "--budget", "3", "--candidates", str(CONFIGS)],
+                             None, "unreadable"),
 }
 for keys in (("flops_scale",), ("pe", "sram_banks"), ("pe", "noc_flit_bits"),
              ("dram", "page_size_bytes")):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from multiprocessing.pool import ThreadPool
@@ -521,36 +522,110 @@ def test_system_dse_budgeted_path():
     pcs, dcs = _candidates()
     counts = [(2, 2), (1, 3)]
     res = dse.system_dse(make_system(), make_model(), _trace(), pcs, dcs,
-                         counts, dse.Slo(), budget=6, seed=0, wave=2)
+                         counts, dse.Slo(), budget=6, seed=0)
     assert not res.exhaustive
     assert res.sim_count <= 6
     assert res.best.feasible
     again = dse.system_dse(make_system(), make_model(), _trace(), pcs, dcs,
-                           counts, dse.Slo(), budget=6, seed=0, wave=2)
+                           counts, dse.Slo(), budget=6, seed=0)
     assert res == again
 
 
 @pytest.mark.parametrize("counts,budget", [
-    ([(2, 2), (1, 3)], 7),          # 8 seeds cycle through lcm(2, 2, 2) = 2 designs
-    ([(2, 2), (1, 3), (3, 1)], 4),  # 6 distinct seeds, room for 3 beside the re-check
+    ([(2, 2), (1, 3)], 7),          # 8 designs, room for 6 beside the re-check
+    ([(2, 2), (1, 3), (3, 1)], 4),  # a 3-design seed wave fills the room beside it
 ], ids=["repeated_seeds", "seeds_beyond_budget"])
 def test_system_dse_seed_wave_stays_in_budget(counts, budget):
     pcs, dcs = _candidates()
     res = dse.system_dse(make_system(), make_model(), _trace(), pcs, dcs,
-                         counts, dse.Slo(), budget=budget, seed=0, wave=8)
+                         counts, dse.Slo(), budget=budget, seed=0)
     assert not res.exhaustive
     assert res.sim_count <= budget
 
 
 def test_system_dse_last_wave_spends_the_budget_left():
-    """The seed wave's 6 entries cycle through 2 designs; the wave after it is
-    cut from 8 proposals to the 4 simulations left instead of being skipped."""
+    """After the 2-design seed wave, neighbour waves run until the 6
+    simulations beside the re-check are spent, the last one cut to fit."""
     pcs, dcs = _candidates()
     res = dse.system_dse(make_system(), make_model(), _trace(), pcs, dcs,
-                         [(2, 2), (1, 3)], dse.Slo(), budget=7, seed=0, wave=8)
+                         [(2, 2), (1, 3)], dse.Slo(), budget=7, seed=0)
     assert not res.exhaustive
     assert len(res.evaluated) == 6
     assert res.sim_count == 7
+
+
+# A synthetic landscape: evaluate_design is replaced, so no design is simulated.
+_AXES = (4, 3, 5)
+_COUNTS = [(1, n) for n in range(1, _AXES[2] + 1)]
+_GRID = list(itertools.product(*map(range, _AXES)))
+
+
+def _landscape_search(monkeypatch, tpj, budget, seed=0, rejected=lambda t: False):
+    """system_dse over a 4 x 3 x 5 grid of designs t = (pc, dc, counts index)
+    scoring tpj(t) tokens per joule, where rejected(t) marks a static reject.
+    Returns the result and each wave dispatched, as lists of t."""
+    def fake_eval(point, **_):
+        t = (point.pc, point.dc, _COUNTS.index((point.n_pc, point.n_dc)))
+        if rejected(t):
+            return dse.DesignEval(point, False, ("PowerExceeded",), 0.0, 0.0,
+                                  math.inf, math.inf, math.inf, math.inf, False)
+        return dse.DesignEval(point, True, (), tpj(t), 0.0, 0.0, 0.0, 0.0, 0.0, True)
+
+    waves = []
+
+    def recording_map(fn, points):
+        points = list(points)
+        waves.append([(p.pc, p.dc, _COUNTS.index((p.n_pc, p.n_dc))) for p in points])
+        return map(fn, points)
+
+    monkeypatch.setattr(dse, "evaluate_design", fake_eval)
+    res = dse.system_dse(make_system(), make_model(), None,
+                         [make_chiplet(Role.PREFILL)] * _AXES[0],
+                         [make_chiplet(Role.DECODE)] * _AXES[1], _COUNTS, dse.Slo(),
+                         budget=budget, seed=seed, map_fn=recording_map)
+    return res, waves
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_system_dse_waves_are_neighbourhoods_of_the_best_design(monkeypatch, seed):
+    rng = random.Random(seed)
+    tpj = {t: rng.random() for t in _GRID}
+    budget = 30
+    res, waves = _landscape_search(monkeypatch, tpj.__getitem__, budget, seed)
+    seen = set(waves[0])
+    assert len(waves[0]) == max(_AXES)  # every value of every axis once
+
+    def open_neighbours(t):
+        return {u for u in _GRID
+                if u not in seen and sum(abs(a - b) for a, b in zip(t, u)) == 1}
+
+    for wave in waves[1:]:
+        best = max((t for t in seen if open_neighbours(t)), key=tpj.__getitem__)
+        neighbours = open_neighbours(best)
+        assert set(wave) <= neighbours
+        assert len(wave) == len(set(wave)) == min(len(neighbours), budget - 1 - len(seen))
+        seen.update(wave)
+    assert len(seen) == budget - 1 and res.sim_count == budget
+    assert res.best.tokens_per_joule == max(tpj[t] for t in seen)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_system_dse_climbs_a_monotone_landscape_to_its_maximum(monkeypatch, seed):
+    budget = 24  # of 60 designs
+    res, _ = _landscape_search(monkeypatch, sum, budget, seed)
+    assert not res.exhaustive and len(res.evaluated) == budget - 1
+    assert (res.best.point.pc, res.best.point.dc) == (_AXES[0] - 1, _AXES[1] - 1)
+    assert (res.best.point.n_pc, res.best.point.n_dc) == _COUNTS[-1]
+
+
+def test_system_dse_static_rejects_leave_the_budget_alone(monkeypatch):
+    budget = 20
+    res, _ = _landscape_search(monkeypatch, sum, budget, rejected=lambda t: t[0] == 0)
+    n_rejected = sum(not ev.simulated for ev in res.evaluated)
+    assert n_rejected > 0
+    assert sum(ev.simulated for ev in res.evaluated) == budget - 1
+    assert res.sim_count == budget
+    assert len(res.evaluated) == budget - 1 + n_rejected
 
 
 def test_system_dse_no_feasible_design_histogram():
