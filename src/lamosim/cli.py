@@ -39,7 +39,6 @@ from .dse import (
     NoFeasibleDesign,
     Slo,
     chiplet_dse,
-    search_plan,
     system_dse,
 )
 from .hwspec import (
@@ -56,7 +55,8 @@ from .hwspec import (
     parse_system,
     validate_system,
 )
-from .mapping import CapacityExceeded, TooManyStages, build_pd_plan, kv_headroom
+from .mapping import (CapacityExceeded, TooManyStages, build_pd_plan, kv_headroom,
+                      search_plan)
 from .serving import (
     SimConfig,
     TRACE_MEANS,
@@ -128,6 +128,9 @@ def _load_config(arg: str, parse: Callable[[Any], Any]) -> tuple[Any, str]:
 def _chiplet_of(obj: Any, type_name: str | None) -> ChipletSpec:
     """A bare chiplet JSON, or one type (by default the first by name) of a system JSON."""
     if not (isinstance(obj, dict) and "chiplet_types" in obj):
+        if type_name is not None:
+            raise ConfigError(f"--type {type_name!r} names a type of a system JSON, "
+                              "but this is a chiplet JSON")
         return parse_chiplet(obj)
     types = parse_system(obj).chiplet_types
     name = type_name or min(types)
@@ -276,8 +279,10 @@ def cmd_dataflow(args) -> int:
     chiplet, pe_hash = _load_config(args.pe, lambda obj: _chiplet_of(obj, args.type))
     shape = _parse_shape(args.shape)
     configs = {"pe": pe_hash}
-    dtype = args.dtype_bytes
+    dtype = args.dtype_bytes or 2
     if args.model:
+        if args.dtype_bytes is not None:
+            raise UsageError("--dtype-bytes and --model both set the dtype; give one")
         model, model_hash = _load_config(args.model, parse_model)
         dtype = model.dtype_bytes
         configs["model"] = model_hash
@@ -562,6 +567,9 @@ def cmd_dse_system(args) -> int:
     configs.update(trace_cfg)
     pc, dc = _load_candidates(args, template, configs)
     counts = _parse_counts(args, template)
+    for flag, bound in (("--slo-ttft", args.slo_ttft), ("--slo-tbt", args.slo_tbt)):
+        if bound is not None and bound <= 0:
+            raise UsageError(f"{flag} must be > 0, got {bound}")
     slo = Slo(ttft_p95_s=args.slo_ttft, tbt_p95_s=args.slo_tbt)
     kv = None if args.kv_budget_mb is None else int(args.kv_budget_mb * (1 << 20))
     cfg = _sim_config(args, kv)
@@ -625,6 +633,20 @@ def cmd_dse_system(args) -> int:
 
 
 def cmd_dse(args) -> int:
+    # argv parsed again with every default None, which no given flag parses
+    # to, names the given flags in any spelling argparse accepts
+    p = argparse.ArgumentParser()
+    _add_dse_flags(p)
+    p.set_defaults(**dict.fromkeys(vars(args)))
+    given = {d for d, v in vars(p.parse_args(args.argv[1:])).items() if v is not None}
+    # the chiplet level's own flags; every other flag but the four both
+    # levels read is the system level's
+    chiplet = {"base", "type", "domain", "eps"}
+    both = {"level", "budget", "seed", "out"}
+    unread = given - chiplet - both if args.level == "chiplet" else given & chiplet
+    if unread:
+        raise UsageError(f"--level {args.level} does not read "
+                         + ", ".join(f"--{d.replace('_', '-')}" for d in sorted(unread)))
     if args.level == "chiplet":
         if not args.base:
             raise UsageError("--level chiplet requires --base")
@@ -667,6 +689,37 @@ def _add_batching_flags(p: argparse.ArgumentParser) -> None:
                    help="decode KV budget; default: the placement's headroom")
 
 
+def _add_dse_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--level", choices=["chiplet", "system"], required=True)
+    p.add_argument("--budget", type=_at_least(int, 1), required=True,
+                   help="chiplet: samples to draw; system: simulation budget")
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--out", required=True)
+    # chiplet level
+    p.add_argument("--base", default=None,
+                   help="chiplet JSON (or system JSON, see --type) the samples perturb")
+    p.add_argument("--type", default=None)
+    p.add_argument("--domain", default=None,
+                   help="JSON {axis: [values]}; unlisted axes keep their defaults")
+    p.add_argument("--eps", type=_at_least(float, 0.0), default=0.05,
+                   help="near-Pareto retention band")
+    # system level
+    p.add_argument("--system", default=None, help="template system JSON")
+    p.add_argument("--model", default=None)
+    p.add_argument("--trace", default=None)
+    p.add_argument("--candidates", default=None,
+                   help='JSON {"pc": [chiplets], "dc": [chiplets]}; '
+                        "default: the template's own types")
+    p.add_argument("--counts", action="append", default=None, metavar="N_PC,N_DC",
+                   help="pool sizes to explore (repeatable); default: the template's")
+    p.add_argument("--slo-ttft", type=_finite, default=None, help="p95 TTFT bound, s")
+    p.add_argument("--slo-tbt", type=_finite, default=None, help="p95 TBT bound, s")
+    p.add_argument("--temp-c", type=_at_least(float, ABSOLUTE_ZERO_C), default=65.0)
+    p.add_argument("--jobs", type=_at_least(int, 1), default=None,
+                   help="worker processes; default: available cores")
+    _add_batching_flags(p)
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="lamosim",
@@ -681,7 +734,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--type", default=None,
                    help="chiplet type name when --pe is a system JSON")
     p.add_argument("--model", default=None, help="model JSON; sets dtype")
-    p.add_argument("--dtype-bytes", type=_at_least(int, 1), default=2)
+    p.add_argument("--dtype-bytes", type=_at_least(int, 1), default=None,
+                   help="default 2; --model sets it instead")
     p.add_argument("--temp-c", type=_at_least(float, ABSOLUTE_ZERO_C), default=65.0)
     p.add_argument("--policy", choices=sorted(_POLICY_FLAG), default="d3",
                    help="d3 searches all reuse policies; others fix one")
@@ -718,34 +772,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_gen_trace)
 
     p = sub.add_parser("dse", help="design-space exploration")
-    p.add_argument("--level", choices=["chiplet", "system"], required=True)
-    p.add_argument("--budget", type=_at_least(int, 1), required=True,
-                   help="chiplet: samples to draw; system: simulation budget")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
-    # chiplet level
-    p.add_argument("--base", default=None,
-                   help="chiplet JSON (or system JSON, see --type) the samples perturb")
-    p.add_argument("--type", default=None)
-    p.add_argument("--domain", default=None,
-                   help="JSON {axis: [values]}; unlisted axes keep their defaults")
-    p.add_argument("--eps", type=_at_least(float, 0.0), default=0.05,
-                   help="near-Pareto retention band")
-    # system level
-    p.add_argument("--system", default=None, help="template system JSON")
-    p.add_argument("--model", default=None)
-    p.add_argument("--trace", default=None)
-    p.add_argument("--candidates", default=None,
-                   help='JSON {"pc": [chiplets], "dc": [chiplets]}; '
-                        "default: the template's own types")
-    p.add_argument("--counts", action="append", default=None, metavar="N_PC,N_DC",
-                   help="pool sizes to explore (repeatable); default: the template's")
-    p.add_argument("--slo-ttft", type=_finite, default=None, help="p95 TTFT bound, s")
-    p.add_argument("--slo-tbt", type=_finite, default=None, help="p95 TBT bound, s")
-    p.add_argument("--temp-c", type=_at_least(float, ABSOLUTE_ZERO_C), default=65.0)
-    p.add_argument("--jobs", type=_at_least(int, 1), default=None,
-                   help="worker processes; default: available cores")
-    _add_batching_flags(p)
+    _add_dse_flags(p)
     p.set_defaults(func=cmd_dse)
 
     return ap

@@ -72,7 +72,7 @@ class DataflowResult:
     evaluated: int
 
 
-def _pow2_candidates(dim: int) -> list[int]:
+def pow2_candidates(dim: int) -> list[int]:
     """Powers of two up to dim, plus dim itself; ascending."""
     vals = [1 << i for i in range(dim.bit_length()) if (1 << i) <= dim]
     if vals[-1] != dim:
@@ -84,9 +84,9 @@ def enumerate_tilings(shape: GemmShape, pe: PeSpec) -> list[TileMapping]:
     """Candidate tilings in lexicographic (t_m, t_n, t_k) order."""
     return [
         TileMapping(tm, tn, tk)
-        for tm in _pow2_candidates(shape.m)
-        for tn in _pow2_candidates(shape.n)
-        for tk in _pow2_candidates(shape.k)
+        for tm in pow2_candidates(shape.m)
+        for tn in pow2_candidates(shape.n)
+        for tk in pow2_candidates(shape.k)
     ]
 
 
@@ -176,7 +176,7 @@ def search(shape: GemmShape, pe: PeSpec, dram: DramStackSpec, temp_c: float, *,
     # Grid axes (t_m, t_n, t_k, policy), in the order enumerate_tilings x
     # policies visits them. Each array expression below repeats the integer and
     # float operations of its scalar counterpart, in the same order.
-    tm, tn, tk = np.ix_(*(np.array(_pow2_candidates(d), dtype=np.int64)
+    tm, tn, tk = np.ix_(*(np.array(pow2_candidates(d), dtype=np.int64)
                           for d in (shape.m, shape.n, shape.k)))
     grid = (tm.size, tn.size, tk.size, len(policies))
     a, b, c = tm * tk, tn * tk, tm * tn  # staged_tile_bytes

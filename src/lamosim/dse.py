@@ -1,22 +1,16 @@
 """Design-space exploration.
 
-Three layers, each usable on its own:
+Two layers, each usable on its own:
 
   * chiplet_dse: stratified sampling over the per-chiplet parameter grid,
     budget validation, and a per-capacity Pareto filter (with an epsilon
     band so near-optimal designs survive to the system stage).
-  * search_plan: pick (tp, pp) per phase for a fixed system. Prefill is
-    ranked by the traversal latency of one request through the pipeline,
-    decode by the steady-state beat time of the slowest stage, so the two
-    phases generally land on different shapes. Each phase's shapes are
-    ranked in one table, costing each TP width once, on
-    `mapping.cached_tp_group`, the grouping the winning plan is built on, so
-    every (pool, tp) is grouped once per process.
   * system_dse: budgeted search over (prefill chiplet, decode chiplet,
     pool counts). Exhaustive when the space fits the simulation budget,
     otherwise best-first: a stratified seed wave, then waves of the untried
     grid neighbours of the best design that has any. Waves are fixed by the
-    results so far, so results do not depend on worker count.
+    results so far, so results do not depend on worker count. Each design
+    is planned by `mapping.search_plan`.
 
 Budget here counts full serving simulations; candidates rejected by static
 validation are free.
@@ -31,8 +25,7 @@ from dataclasses import dataclass, replace
 from functools import partial
 from typing import Callable, Iterable, Mapping, Sequence
 
-from . import ops
-from .comm import EmptyGroup, allreduce_cost, link_delay, manhattan
+from .comm import EmptyGroup
 from .hwspec import (
     ChipletSpec,
     ModelSpec,
@@ -43,19 +36,7 @@ from .hwspec import (
     derive_chiplet_metrics,
     validate_system,
 )
-from .mapping import (
-    CapacityExceeded,
-    PdPlan,
-    TooManyStages,
-    build_pd_plan,
-    cached_tp_group,
-    estimate_layer_costs,
-    group_center_coord,
-    kv_headroom,
-    pool_chiplet,
-    pool_pe_coords,
-    stage_bytes,
-)
+from .mapping import CapacityExceeded, TooManyStages, search_plan
 from .serving import KvOverflow, SimConfig
 from .thermal import coupled_serve
 
@@ -220,133 +201,6 @@ def chiplet_dse(base: ChipletSpec, n_samples: int, seed: int,
         front=tuple(front),
         retained=tuple(retained),
         rejects=dict(rejects),
-    )
-
-
-# --- parallelism plan selection ----------------------------------------------
-
-
-@dataclass(frozen=True)
-class PlanChoice:
-    plan: PdPlan
-    prefill_tp: int
-    prefill_pp: int
-    decode_tp: int
-    decode_pp: int
-    prefill_score_s: float
-    decode_score_s: float
-    kv_budget_bytes: int
-
-
-def _pow2_upto(n: int) -> list[int]:
-    out = []
-    v = 1
-    while v <= n:
-        out.append(v)
-        v *= 2
-    if out and out[-1] != n:
-        out.append(n)
-    return out
-
-
-def _divisors(n: int) -> list[int]:
-    return [d for d in range(1, n + 1) if n % d == 0]
-
-
-def _phase_shapes(pool_n: int, n_layers: int) -> list[tuple[int, list[int]]]:
-    """Candidate widths, each with its stage counts: powers of two plus the
-    shapes whose stage count divides the layer count evenly. Uneven layer
-    splits round a stage up, which quietly dominates the decode beat time, so
-    the evenly packed widths must be in the pool. Every shape has at least
-    one TP group per stage."""
-    tps = set(_pow2_upto(pool_n))
-    for pp in _divisors(n_layers):
-        if pp <= pool_n:
-            tps.add(pool_n // pp)
-    pps = set(_pow2_upto(n_layers)) | set(_divisors(n_layers))
-    return [(tp, sorted(p for p in pps if p <= min(pool_n // tp, n_layers)))
-            for tp in sorted(tps)]
-
-
-def _phase_ranking(spec: SystemSpec, model: ModelSpec, role: Role,
-                   phase: ops.Phase, m_tokens: int, ctx: int, temp_c: float,
-                   kv_budget_bytes: int = 0) -> list[tuple[float, int, int]]:
-    """Every (tp, pp) shape of a phase that fits, as (score, pp, -tp), best
-    first. A shape fits when its deepest stage holds on the group slice by
-    `mapping.stage_bytes`, the rule build_pd_plan checks. Everything but the
-    stage count depends on tp alone, so each width is costed once.
-
-    Prefill: one request's traversal = all layers in sequence plus a handoff
-    per stage boundary. Decode: beat period of the deepest stage; transfers
-    overlap the next beat so they do not enter the period.
-    """
-    pool = pool_pe_coords(spec, role)
-    chiplet = pool_chiplet(spec, role)
-    slice_b = chiplet.dram.capacity_bytes // chiplet.n_pe
-    msg = m_tokens * model.d_model * model.dtype_bytes
-    table = []
-    for tp, pps in _phase_shapes(len(pool), model.n_layers):
-        pps = [pp for pp in pps if stage_bytes(
-            model, math.ceil(model.n_layers / pp), kv_budget_bytes) <= tp * slice_b]
-        if not pps:
-            continue
-        layer_s = estimate_layer_costs(model, chiplet, phase, m_tokens, ctx, temp_c, tp)
-        ar_s = 0.0
-        handoff = 0.0
-        if tp > 1 or pps[-1] > 1:
-            groups = cached_tp_group(pool, tp, spec).groups
-            first = [pool[i] for i in groups[0]]
-            c0 = group_center_coord(first, spec)
-            if tp > 1:
-                ar_s = allreduce_cost(first, c0, msg, spec).latency_s
-            if pps[-1] > 1:
-                c1 = group_center_coord([pool[i] for i in groups[1]], spec)
-                handoff = link_delay(msg, *manhattan(c0, c1, spec), spec)
-        for pp in pps:
-            if phase is ops.Phase.PREFILL:
-                score = model.n_layers * (layer_s + 2.0 * ar_s) + (pp - 1) * handoff
-            else:
-                score = math.ceil(model.n_layers / pp) * (layer_s + 2.0 * ar_s)
-            table.append((score, pp, -tp))
-    if not table:
-        extra = f" plus a {kv_budget_bytes} B KV budget" if kv_budget_bytes else ""
-        raise CapacityExceeded(
-            f"no (tp, pp) shape fits {phase.value} weights{extra} on its pool")
-    return sorted(table)
-
-
-def search_plan(spec: SystemSpec, model: ModelSpec, *,
-                kv_budget_decode_bytes: int | None = None,
-                ref_prefill_tokens: int = 512,
-                ref_decode_ctx: int = 2048,
-                ref_decode_batch: int = 16,
-                temp_c: float = 65.0, seed: int = 0) -> PlanChoice:
-    """Choose (tp, pp) per phase by the phase's own objective, then build the
-    full placement for the winning pair. Only decode shapes whose every stage
-    holds kv_budget_decode_bytes beside its weights are ranked, so the
-    winner's plan holds the budget.
-
-    With kv_budget_decode_bytes=None the budget is set to the headroom the
-    chosen decode placement actually has, and returned for the serving config.
-    """
-    kv_budget = kv_budget_decode_bytes or 0
-    ps, ppp, ptp = _phase_ranking(spec, model, Role.PREFILL, ops.Phase.PREFILL,
-                                  ref_prefill_tokens, ref_prefill_tokens, temp_c)[0]
-    ds, dpp, dtp = _phase_ranking(spec, model, Role.DECODE, ops.Phase.DECODE,
-                                  ref_decode_batch, ref_decode_ctx, temp_c, kv_budget)[0]
-    plan = build_pd_plan(
-        spec, model,
-        tp_prefill=-ptp, pp_prefill=ppp, tp_decode=-dtp, pp_decode=dpp,
-        kv_budget_decode_bytes=kv_budget, seed=seed, ref_tokens=ref_prefill_tokens)
-    budget = kv_budget_decode_bytes
-    if budget is None:
-        budget = kv_headroom(plan.decode, spec, model)
-    return PlanChoice(
-        plan=plan,
-        prefill_tp=-ptp, prefill_pp=ppp,
-        decode_tp=-dtp, decode_pp=dpp,
-        prefill_score_s=ps, decode_score_s=ds,
-        kv_budget_bytes=budget,
     )
 
 

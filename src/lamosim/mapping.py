@@ -1,4 +1,5 @@
-"""Tensor-parallel PE grouping and pipeline-stage placement.
+"""Parallelism mapping: tensor-parallel PE grouping, pipeline-stage
+placement, the capacity rule, and the per-phase (tp, pp) plan search.
 
 Grouping solves, over a pool of PE coordinates, the partition of floor(P/tp)
 ordered groups of exactly tp PEs each (spares stay idle) minimizing
@@ -14,9 +15,7 @@ fall back to the greedy tiler plus pairwise-swap refinement and report
 proven_optimal=False; refinement scores each trial swap on the two groups it
 touches, their boxes and the chain edges at them. `cached_tp_group`
 memoizes the default-weight grouping process-wide per (pool coordinates in
-order, tp): `dse` ranks each (tp, pp) shape on the same grouping that
-`build_pd_plan` then places stages on, so a plan search groups each
-(pool, tp) once.
+order, tp), so a plan search groups each (pool, tp) once.
 
 Stage placement assigns pipeline stages to groups by simulated annealing over
 swap/move neighborhoods (geometric cooling, never worse than its greedy
@@ -25,12 +24,16 @@ assignment decides: two all-reduces per layer on each stage's group plus the
 activation handoffs between consecutive stages. Stage compute is the same on
 every group and so adds one constant to every assignment; placement leaves it
 out and runs no dataflow search. Plan assembly checks every stage's weight
-shard plus KV budget share (`stage_bytes`, the one capacity rule, which `dse`
-also ranks shapes by) against the group's DRAM slice; `kv_headroom` inverts
-that check, to within the bytes its floor division admits. The KV destination
-table `PdPlan.kv_dest` names the decode PE each prefill PE sends each layer's
-KV to: prefill shard i sends to shard i * tp_decode // tp_prefill of the
-layer's decode stage.
+shard plus KV budget share (`stage_bytes`, the one capacity rule) against the
+group's DRAM slice; `kv_headroom` inverts that check, to within the bytes its
+floor division admits. The KV destination table `PdPlan.kv_dest` names the
+decode PE each prefill PE sends each layer's KV to: prefill shard i sends to
+shard i * tp_decode // tp_prefill of the layer's decode stage.
+
+Plan search (`search_plan`) ranks each phase's (tp, pp) shapes that pass
+`stage_bytes` by the phase's own objective, costing each width once on the
+grouping the winner is then placed on. `_group_costs` prices a group's center
+PE and all-reduce for ranking and placement alike.
 """
 
 from __future__ import annotations
@@ -357,6 +360,16 @@ def pool_pe_coords(spec: SystemSpec, role: Role) -> list[MeshCoord]:
     return out
 
 
+def _group_costs(groups: tuple[tuple[int, ...], ...], pool: list[MeshCoord],
+                 msg_bytes: int, spec: SystemSpec) -> tuple[list[MeshCoord], list[float]]:
+    """Each group's center PE and the latency of an all-reduce of msg_bytes
+    around it; a one-PE group's all-reduce costs 0.0."""
+    members = [[pool[i] for i in g] for g in groups]
+    centers = [group_center_coord(m, spec) for m in members]
+    return centers, [allreduce_cost(m, c, msg_bytes, spec).latency_s
+                     for m, c in zip(members, centers)]
+
+
 _groupings: dict[tuple[tuple[Coord, ...], int], TpGrouping] = {}
 
 
@@ -395,14 +408,7 @@ def place_stages(grouping: TpGrouping, pool: list[MeshCoord], n_stages: int,
     if n_layers < n_stages:
         raise TooManyStages(f"{n_stages} stages but only {n_layers} layers")
 
-    members_by_group = [
-        [pool[i] for i in g] for g in grouping.groups
-    ]
-    centers = [group_center_coord(m, spec) for m in members_by_group]
-    ar_cost = [
-        allreduce_cost(members, center, act_bytes, spec).latency_s
-        for members, center in zip(members_by_group, centers)
-    ]
+    centers, ar_cost = _group_costs(grouping.groups, pool, act_bytes, spec)
     bounds = _layer_partition(n_layers, n_stages)
     # stage_cost[s][g]: all-reduce latency of stage s when mapped onto group g
     stage_cost = [
@@ -554,8 +560,8 @@ def _group_capacity_bytes(members: tuple[MeshCoord, ...], spec: SystemSpec) -> i
 def stage_bytes(model: ModelSpec, layers: int, kv_budget_bytes: int = 0) -> int:
     """DRAM a pipeline stage of `layers` layers needs on its group's slice: its
     weight shard plus its layer share of the decode KV budget. The one
-    capacity rule: build_pd_plan checks it, kv_headroom inverts it and dse
-    ranks (tp, pp) shapes by it."""
+    capacity rule: build_pd_plan checks it, kv_headroom inverts it and
+    _phase_ranking ranks (tp, pp) shapes by it."""
     return (layers * model.weights_per_layer() * model.dtype_bytes
             + kv_budget_bytes * layers // model.n_layers)
 
@@ -607,3 +613,103 @@ def build_pd_plan(spec: SystemSpec, model: ModelSpec, *,
               for i in range(tp_prefill))
         for lo, hi in prefill.layer_bounds)
     return PdPlan(prefill=prefill, decode=decode, kv_dest=kv_dest)
+
+
+# --- parallelism plan selection ----------------------------------------------
+
+
+@dataclass(frozen=True)
+class PlanChoice:
+    plan: PdPlan
+    prefill_tp: int
+    prefill_pp: int
+    decode_tp: int
+    decode_pp: int
+    prefill_score_s: float
+    decode_score_s: float
+    kv_budget_bytes: int
+
+
+def _phase_shapes(pool_n: int, n_layers: int) -> list[tuple[int, list[int]]]:
+    """Candidate widths, each with its stage counts: powers of two plus the
+    shapes whose stage count divides the layer count evenly. Uneven layer
+    splits round a stage up, which quietly dominates the decode beat time, so
+    the evenly packed widths must be in the pool. Every shape has at least
+    one TP group per stage."""
+    divisors = [d for d in range(1, n_layers + 1) if n_layers % d == 0]
+    tps = set(dataflow.pow2_candidates(pool_n))
+    tps |= {pool_n // pp for pp in divisors if pp <= pool_n}
+    pps = set(dataflow.pow2_candidates(n_layers)) | set(divisors)
+    return [(tp, sorted(p for p in pps if p <= min(pool_n // tp, n_layers)))
+            for tp in sorted(tps)]
+
+
+def _phase_ranking(spec: SystemSpec, model: ModelSpec, role: Role,
+                   phase: ops.Phase, m_tokens: int, ctx: int, temp_c: float,
+                   kv_budget_bytes: int = 0) -> list[tuple[float, int, int]]:
+    """Every (tp, pp) shape of a phase that fits, as (score, pp, -tp), best
+    first. A shape fits when its deepest stage holds on the group slice by
+    `stage_bytes`, the rule build_pd_plan checks. Everything but the stage
+    count depends on tp alone, so each width is costed once, on the first
+    two groups of `cached_tp_group`, the grouping build_pd_plan places on.
+
+    Prefill: one request's traversal = all layers in sequence plus a handoff
+    per stage boundary. Decode: beat period of the deepest stage; transfers
+    overlap the next beat so they do not enter the period.
+    """
+    pool = pool_pe_coords(spec, role)
+    chiplet = pool_chiplet(spec, role)
+    slice_b = chiplet.dram.capacity_bytes // chiplet.n_pe
+    msg = m_tokens * model.d_model * model.dtype_bytes
+    table = []
+    for tp, pps in _phase_shapes(len(pool), model.n_layers):
+        pps = [pp for pp in pps if stage_bytes(
+            model, math.ceil(model.n_layers / pp), kv_budget_bytes) <= tp * slice_b]
+        if not pps:
+            continue
+        layer_s = estimate_layer_costs(model, chiplet, phase, m_tokens, ctx, temp_c, tp)
+        centers, ar = _group_costs(cached_tp_group(pool, tp, spec).groups[:2], pool,
+                                   msg, spec)
+        handoff = link_delay(msg, *manhattan(*centers, spec), spec) if pps[-1] > 1 else 0.0
+        for pp in pps:
+            if phase is ops.Phase.PREFILL:
+                score = model.n_layers * (layer_s + 2.0 * ar[0]) + (pp - 1) * handoff
+            else:
+                score = math.ceil(model.n_layers / pp) * (layer_s + 2.0 * ar[0])
+            table.append((score, pp, -tp))
+    if not table:
+        extra = f" plus a {kv_budget_bytes} B KV budget" if kv_budget_bytes else ""
+        raise CapacityExceeded(
+            f"no (tp, pp) shape fits {phase.value} weights{extra} on its pool")
+    return sorted(table)
+
+
+def search_plan(spec: SystemSpec, model: ModelSpec, *,
+                kv_budget_decode_bytes: int | None = None,
+                ref_prefill_tokens: int = 512,
+                ref_decode_ctx: int = 2048,
+                ref_decode_batch: int = 16,
+                temp_c: float = 65.0, seed: int = 0) -> PlanChoice:
+    """Choose (tp, pp) per phase by the phase's own objective, then build the
+    full placement for the winning pair. Only decode shapes whose every stage
+    holds kv_budget_decode_bytes beside its weights are ranked, so the
+    winner's plan holds the budget.
+
+    With kv_budget_decode_bytes=None the budget is set to the headroom the
+    chosen decode placement actually has, and returned for the serving config.
+    """
+    kv_budget = kv_budget_decode_bytes or 0
+    ps, ppp, ptp = _phase_ranking(spec, model, Role.PREFILL, ops.Phase.PREFILL,
+                                  ref_prefill_tokens, ref_prefill_tokens, temp_c)[0]
+    ds, dpp, dtp = _phase_ranking(spec, model, Role.DECODE, ops.Phase.DECODE,
+                                  ref_decode_batch, ref_decode_ctx, temp_c, kv_budget)[0]
+    plan = build_pd_plan(
+        spec, model,
+        tp_prefill=-ptp, pp_prefill=ppp, tp_decode=-dtp, pp_decode=dpp,
+        kv_budget_decode_bytes=kv_budget, seed=seed, ref_tokens=ref_prefill_tokens)
+    budget = kv_budget_decode_bytes
+    if budget is None:
+        budget = kv_headroom(plan.decode, spec, model)
+    return PlanChoice(plan=plan, prefill_tp=-ptp, prefill_pp=ppp, decode_tp=-dtp,
+                      decode_pp=dpp, prefill_score_s=ps, decode_score_s=ds,
+                      kv_budget_bytes=budget)

@@ -140,8 +140,8 @@ _TRACE_COLUMNS = {"rid": int, "arrival_s": float, "input_len": int, "output_len"
 
 def load_trace_csv(path: str) -> tuple[Request, ...]:
     """Requests from a CSV with dump_trace_csv's columns. Raises ValueError
-    naming a missing column, or the line and cells of a bad row, or when the
-    file holds no request."""
+    naming a missing column, the line and cells of a bad row, the line of a
+    repeated rid, or when the file holds no request."""
     with open(path, newline="") as f:
         reader = csv.DictReader(f)
         missing = [c for c in _TRACE_COLUMNS if c not in (reader.fieldnames or ())]
@@ -150,13 +150,18 @@ def load_trace_csv(path: str) -> tuple[Request, ...]:
         rows = list(reader)
     if not rows:
         raise ValueError("no requests")
+    lines: dict[int, int] = {}  # rid -> the line that holds it
     trace = []
     for line, row in enumerate(rows, start=2):
         try:
-            trace.append(Request(**{c: kind(row[c]) for c, kind in _TRACE_COLUMNS.items()}))
+            req = Request(**{c: kind(row[c]) for c, kind in _TRACE_COLUMNS.items()})
         except (TypeError, ValueError) as e:  # TypeError: a short row's missing cell
             cells = ", ".join(f"{c}={row[c]}" for c in _TRACE_COLUMNS)
             raise ValueError(f"line {line} ({cells}): {e}") from None
+        if req.rid in lines:
+            raise ValueError(f"line {line}: rid {req.rid} repeats line {lines[req.rid]}")
+        lines[req.rid] = line
+        trace.append(req)
     return tuple(trace)
 
 

@@ -421,6 +421,8 @@ SIM_SMALL = ["simulate", *SMALL, "--trace", "code:n=2"]
 DSE_SYSTEM = ["dse", "--level", "system", *SMALL, "--trace", "code:n=2", "--jobs", "1"]
 DSE_CHIPLET = ["dse", "--level", "chiplet", "--base", "system_small.json", "--type", "pc"]
 TRACE_HEADER = "rid,arrival_s,input_len,output_len\n"
+CHIPLET_PC = json.dumps(json.loads((CONFIGS / "system_small.json").read_text())
+                        ["chiplet_types"]["pc"])  # a bare chiplet JSON
 
 
 def edited(name: str, keys: tuple, value) -> str:
@@ -561,6 +563,35 @@ BAD_INPUTS = {
                          "unreadable"),
     "candidates_directory": ([*DSE_SYSTEM, "--budget", "3", "--candidates", str(CONFIGS)],
                              None, "unreadable"),
+    # a flag the chosen dse level does not read, in any spelling argparse accepts
+    "dse_chiplet_system_flags": ([*DSE_CHIPLET, "--budget", "4", "--counts", "1,1",
+                                  "--slo-tbt", "5", "--jobs", "3"], None,
+                                 "--level chiplet does not read --counts, --jobs, --slo-tbt"),
+    "dse_chiplet_batching_flag": ([*DSE_CHIPLET, "--budget", "4", "--static-batching"], None,
+                                  "does not read --static-batching"),
+    "dse_chiplet_abbreviated_temp_c": ([*DSE_CHIPLET, "--budget", "4", "--te", "65"], None,
+                                       "does not read --temp-c"),
+    "dse_system_chiplet_flags": ([*DSE_SYSTEM, "--budget", "3", "--eps", "0.3", "--base",
+                                  "foo"], None, "--level system does not read --base, --eps"),
+    "dse_system_abbreviated_eps": ([*DSE_SYSTEM, "--budget", "3", "--e=0.3"], None,
+                                   "does not read --eps"),
+    "dse_system_type": ([*DSE_SYSTEM, "--budget", "3", "--type", "pc"], None,
+                        "does not read --type"),
+    # one flag that would silently override another
+    "dataflow_dtype_bytes_with_model": (["dataflow", "--shape", "4x64x64", "--pe",
+                                         "system_small.json", "--model", "model_tiny.json",
+                                         "--dtype-bytes", "4"], None, "--dtype-bytes"),
+    "dataflow_type_with_chiplet_json": ([*DATAFLOW_INPUT_PE, "--type", "nosuch"], CHIPLET_PC,
+                                        "--type 'nosuch'"),
+    "dse_base_type_with_chiplet_json": (["dse", "--level", "chiplet", "--base", INPUT,
+                                         "--type", "nosuch", "--budget", "4"], CHIPLET_PC,
+                                        "--type 'nosuch'"),
+    "slo_ttft_negative": ([*DSE_SYSTEM, "--budget", "3", "--slo-ttft", "-1"], None,
+                          "--slo-ttft must be > 0"),
+    "slo_tbt_zero": ([*DSE_SYSTEM, "--budget", "3", "--slo-tbt", "0"], None,
+                     "--slo-tbt must be > 0"),
+    "trace_csv_repeated_rid": (["simulate", *SMALL, "--trace", INPUT],
+                               TRACE_HEADER + "0,0.0,5,3\n0,0.1,5,3\n", "line 3: rid 0"),
 }
 for keys in (("flops_scale",), ("pe", "sram_banks"), ("pe", "noc_flit_bits"),
              ("dram", "page_size_bytes")):

@@ -183,17 +183,32 @@ def test_chiplet_dse_domain_axes_exact():
 # --- plan selection -----------------------------------------------------------
 
 
-# The per-shape enumeration and scorer that `dse._phase_ranking` replaced,
-# kept as its oracle.
+# The per-shape enumeration and scorer that `mapping._phase_ranking` replaced,
+# kept as its oracle, with the candidate lists it was written on.
+
+
+def _pow2_upto(n: int) -> list[int]:
+    out = []
+    v = 1
+    while v <= n:
+        out.append(v)
+        v *= 2
+    if out and out[-1] != n:
+        out.append(n)
+    return out
+
+
+def _divisors(n: int) -> list[int]:
+    return [d for d in range(1, n + 1) if n % d == 0]
 
 
 def _flat_phase_shapes(pool_n, n_layers):
     """Every candidate (tp, pp) shape, one entry each."""
-    tps = set(dse._pow2_upto(pool_n))
-    for pp in dse._divisors(n_layers):
+    tps = set(_pow2_upto(pool_n))
+    for pp in _divisors(n_layers):
         if pp <= pool_n:
             tps.add(pool_n // pp)
-    pps = set(dse._pow2_upto(n_layers)) | set(dse._divisors(n_layers))
+    pps = set(_pow2_upto(n_layers)) | set(_divisors(n_layers))
     out = []
     for tp in sorted(tps):
         for pp in sorted(p for p in pps if p <= min(pool_n // tp, n_layers)):
@@ -250,13 +265,13 @@ def _oracle_ranking(spec, model, role, phase, m_tokens, ctx, kv=0):
 
 
 def _table(spec, model, role, phase, m_tokens, ctx, kv=0):
-    return dse._phase_ranking(spec, model, role, phase, m_tokens, ctx, 65.0, kv)
+    return mapping._phase_ranking(spec, model, role, phase, m_tokens, ctx, 65.0, kv)
 
 
 def test_phase_shapes_group_the_flat_shape_list_by_width():
     for pool_n in (1, 2, 3, 8, 12, 64, 96):
         for n_layers in (1, 2, 6, 7, 40, 80):
-            flat = [(tp, pp) for tp, pps in dse._phase_shapes(pool_n, n_layers)
+            flat = [(tp, pp) for tp, pps in mapping._phase_shapes(pool_n, n_layers)
                     for pp in pps]
             assert flat == _flat_phase_shapes(pool_n, n_layers)
 
@@ -309,13 +324,13 @@ def test_phase_ranking_costs_each_width_once(monkeypatch):
     spec = load_system(str(CONFIGS / "system_ref.json"))
     model = load_model(str(CONFIGS / "model_mid.json"))
     widths = []
-    fresh = dse.estimate_layer_costs
+    fresh = mapping.estimate_layer_costs
 
     def counted(model, chiplet, phase, m_tokens, ctx, temp_c, tp):
         widths.append((phase, tp))
         return fresh(model, chiplet, phase, m_tokens, ctx, temp_c, tp)
 
-    monkeypatch.setattr(dse, "estimate_layer_costs", counted)
+    monkeypatch.setattr(mapping, "estimate_layer_costs", counted)
     dse.search_plan(spec, model)
     assert len(widths) == len(set(widths)) == 23
 
@@ -356,8 +371,8 @@ def test_search_plan_ranks_only_decode_shapes_holding_the_budget(system, tiny_mo
     the best-scored decode shape whose built plan holds it."""
     kw = dict(ref_prefill_tokens=8, ref_decode_ctx=8, ref_decode_batch=4)
     free = dse.search_plan(system, tiny_model, **kw)
-    shapes = dse._phase_shapes(len(mapping.pool_pe_coords(system, Role.DECODE)),
-                               tiny_model.n_layers)
+    shapes = mapping._phase_shapes(len(mapping.pool_pe_coords(system, Role.DECODE)),
+                                   tiny_model.n_layers)
     headroom = {}
     for tp, pp in ((tp, pp) for tp, pps in shapes for pp in pps):
         plan = mapping.build_pd_plan(system, tiny_model, tp_prefill=1, pp_prefill=1,
