@@ -12,8 +12,8 @@ file written. Reruns with the same configs and seed reproduce the same digest
 byte for byte, for any --jobs value. stdout carries a short human summary;
 machine consumers read the files.
 
-Exit codes: 0 success, 2 usage or config error, 3 infeasible result,
-4 internal invariant violation.
+Exit codes: 0 success, 2 usage or config error, 3 infeasible result (any
+`hwspec.Infeasible`), 4 internal invariant violation.
 """
 
 from __future__ import annotations
@@ -32,8 +32,6 @@ from typing import Any, Callable
 
 from . import __version__, dataflow
 from .compute import GemmShape
-from .comm import EmptyGroup
-from .dram import RefreshStall
 from .dse import (
     DEFAULT_CHIPLET_DOMAIN,
     NoFeasibleDesign,
@@ -45,8 +43,8 @@ from .hwspec import (
     ABSOLUTE_ZERO_C,
     ChipletSpec,
     ConfigError,
+    Infeasible,
     Role,
-    SystemValidationError,
     derive_chiplet_metrics,
     dump_json,
     parse_chiplet,
@@ -55,12 +53,10 @@ from .hwspec import (
     parse_system,
     validate_system,
 )
-from .mapping import (CapacityExceeded, TooManyStages, build_pd_plan, kv_headroom,
-                      search_plan)
+from .mapping import build_pd_plan, kv_headroom, search_plan
 from .serving import (
     SimConfig,
     TRACE_MEANS,
-    KvOverflow,
     dump_trace_csv,
     load_trace_csv,
     roofline_check,
@@ -74,17 +70,6 @@ from .thermal import NonConvergence, SingularNetwork, coupled_serve
 
 class UsageError(Exception):
     """Bad flags or unreadable/invalid config input (exit 2)."""
-
-
-_INFEASIBLE = (
-    dataflow.NoFeasibleMapping,
-    CapacityExceeded,
-    SystemValidationError,
-    EmptyGroup,
-    TooManyStages,
-    KvOverflow,
-    RefreshStall,
-)
 
 
 def sub_seed(seed: int, purpose: str) -> int:
@@ -788,7 +773,7 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except _INFEASIBLE as e:
+    except Infeasible as e:
         print(f"infeasible: {e}", file=sys.stderr)
         return 3
     except (NonConvergence, SingularNetwork, AssertionError) as e:

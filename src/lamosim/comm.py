@@ -16,10 +16,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .hwspec import SystemSpec
+from .hwspec import Infeasible, SystemSpec
 
 
-class EmptyGroup(ValueError):
+class EmptyGroup(Infeasible, ValueError):
     """A group with no members: a collective over an empty member set, a pool
     too small for one group of the requested width, or a role with no chiplets."""
 

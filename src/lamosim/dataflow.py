@@ -38,10 +38,10 @@ from enum import Enum
 
 from .compute import ComputeCost, CostLut, GemmShape, TileMapping, gemm_cycles
 from .dram import MemRequest, mem_access_time, refresh_derate
-from .hwspec import DramStackSpec, PeSpec
+from .hwspec import DramStackSpec, Infeasible, PeSpec
 
 
-class NoFeasibleMapping(Exception):
+class NoFeasibleMapping(Infeasible):
     """No (tiling, policy) pair fits the PE's SRAM."""
 
 

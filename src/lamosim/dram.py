@@ -21,10 +21,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .hwspec import DramStackSpec
+from .hwspec import DramStackSpec, Infeasible
 
 
-class RefreshStall(Exception):
+class RefreshStall(Infeasible):
     """Refresh duty reached 100%: the stack serves no data at this temperature."""
 
 

@@ -12,8 +12,9 @@ Two layers, each usable on its own:
     results so far, so results do not depend on worker count. Each design
     is planned by `mapping.search_plan`.
 
-Budget here counts full serving simulations; candidates rejected by static
-validation are free.
+Budget here counts full serving simulations. A design that raises any
+`hwspec.Infeasible` is one rejected point (a failed validation under its
+violation kinds, else under the type's name), free if it never simulated.
 """
 
 from __future__ import annotations
@@ -25,9 +26,9 @@ from dataclasses import dataclass, replace
 from functools import partial
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .comm import EmptyGroup
 from .hwspec import (
     ChipletSpec,
+    Infeasible,
     ModelSpec,
     Role,
     SystemSpec,
@@ -36,8 +37,8 @@ from .hwspec import (
     derive_chiplet_metrics,
     validate_system,
 )
-from .mapping import CapacityExceeded, TooManyStages, search_plan
-from .serving import KvOverflow, SimConfig
+from .mapping import search_plan
+from .serving import SimConfig
 from .thermal import coupled_serve
 
 
@@ -275,33 +276,27 @@ def evaluate_design(point: DesignPoint, *, pc_candidates: Sequence[ChipletSpec],
     """Full evaluation of one design: build, validate, plan, simulate with
     thermal coupling, then apply the SLO / thermal / power / KV constraints."""
 
-    def rejected(violations: Iterable[str], simulated: bool = False,
-                 **kw) -> DesignEval:
-        defaults = dict(tokens_per_joule=0.0, throughput_tok_s=0.0,
-                        ttft_p95_s=math.inf, tbt_p95_s=math.inf,
-                        t_max_c=math.inf, peak_power_w=math.inf)
-        defaults.update(kw)
-        return DesignEval(point=point, feasible=False,
-                          violations=tuple(violations), simulated=simulated,
-                          **defaults)
+    def rejected(violations: Iterable[str], simulated: bool = False) -> DesignEval:
+        return DesignEval(point=point, feasible=False, violations=tuple(violations),
+                          tokens_per_joule=0.0, throughput_tok_s=0.0,
+                          ttft_p95_s=math.inf, tbt_p95_s=math.inf, t_max_c=math.inf,
+                          peak_power_w=math.inf, simulated=simulated)
 
     spec = build_system(template, pc_candidates[point.pc],
                         dc_candidates[point.dc], point.n_pc, point.n_dc)
+    simulated = False  # static rejects cost no budget
     try:
         peak_power_w = validate_system(spec, model)
-    except SystemValidationError as e:
-        return rejected(sorted({v.kind for v in e.violations}))
-    try:
         choice = search_plan(spec, model, kv_budget_decode_bytes=cfg.kv_budget_bytes,
                              temp_c=temp_c, seed=seed)
-    except (CapacityExceeded, EmptyGroup, TooManyStages) as e:
-        return rejected([type(e).__name__])
-    run_cfg = replace(cfg, kv_budget_bytes=choice.kv_budget_bytes)
-    try:
+        run_cfg = replace(cfg, kv_budget_bytes=choice.kv_budget_bytes)
+        simulated = True
         metrics, thermal = coupled_serve(spec, model, choice.plan, trace,
                                          run_cfg, start_temp_c=temp_c)
-    except KvOverflow:
-        return rejected(["KvCapacity"], simulated=True)
+    except SystemValidationError as e:
+        return rejected(sorted({v.kind for v in e.violations}))
+    except Infeasible as e:
+        return rejected([type(e).__name__], simulated)
     violations = []
     ttft = metrics.ttft_percentile(95)
     tbt = metrics.tbt_percentile(95)

@@ -8,6 +8,9 @@ them mutates a spec after construction.
 JSON configs carry a `"schema": 1` field and use unit-suffixed field names
 (`t_rcd_ns`, `capacity_bytes`). `parse_json` reads each spec by its annotations
 and rejects unknown keys and wrongly typed values, naming the field path.
+
+Every module raises a subclass of `Infeasible` for valid input that admits no
+run: the CLI exits 3 on any of them, and the system DSE rejects the design.
 """
 
 from __future__ import annotations
@@ -32,6 +35,10 @@ class ConfigError(ValueError):
     """Malformed or inconsistent configuration input."""
 
 
+class Infeasible(Exception):
+    """Valid inputs that admit no feasible design, mapping or run (exit 3)."""
+
+
 @dataclass(frozen=True)
 class Violation:
     kind: str
@@ -42,7 +49,7 @@ class Violation:
         return f"{self.kind} at {self.where}: {self.detail}"
 
 
-class SystemValidationError(Exception):
+class SystemValidationError(Infeasible):
     """Raised by validate_system with the complete list of violations."""
 
     def __init__(self, violations: list[Violation]):

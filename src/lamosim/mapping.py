@@ -8,7 +8,7 @@ ordered groups of exactly tp PEs each (spares stay idle) minimizing
 
 where span is the bounding-box half-perimeter (x extent + y extent) and
 centers are bounding-box midpoints. The solver is exact branch-and-bound up
-to `exact_limit` PEs (greedy box-tiling incumbent, per-group span lower
+to `EXACT_LIMIT` PEs (greedy box-tiling incumbent, per-group span lower
 bounds, reversal symmetry break; with w_inter == 0 full label symmetry is
 broken instead by pinning the lowest PE into the first group). Larger pools
 fall back to the greedy tiler plus pairwise-swap refinement and report
@@ -47,16 +47,18 @@ from dataclasses import dataclass
 from . import dataflow, ops
 from .compute import vpu_cycles
 from .comm import EmptyGroup, MeshCoord, allreduce_cost, link_delay, manhattan
-from .hwspec import ChipletSpec, ModelSpec, Role, SystemSpec
+from .hwspec import ChipletSpec, Infeasible, ModelSpec, Role, SystemSpec
 
 Coord = tuple[int, int]
+EXACT_LIMIT = 10  # largest pool tp_group solves exactly
+SWAP_ROUNDS = 20  # most passes of _swap_refine over all group pairs
 
 
-class TooManyStages(ValueError):
+class TooManyStages(Infeasible, ValueError):
     """More pipeline stages than available groups, or than model layers."""
 
 
-class CapacityExceeded(Exception):
+class CapacityExceeded(Infeasible):
     """A stage's weights plus KV budget overflow its group's DRAM slice."""
 
 
@@ -180,8 +182,8 @@ def _edges2(a: tuple, b: tuple, near_a: list[tuple], near_b: list[tuple],
 
 
 def _swap_refine(coords: list[Coord], groups: list[tuple[int, ...]],
-                 w_inter: float, max_rounds: int = 20) -> list[tuple[int, ...]]:
-    """First-improvement pairwise member swaps until a local optimum.
+                 w_inter: float) -> list[tuple[int, ...]]:
+    """First-improvement pairwise member swaps: SWAP_ROUNDS passes at most.
 
     A swap moves only the two touched groups' boxes and the chain edges at
     those groups, so each trial is scored on them alone: every group keeps its
@@ -197,7 +199,7 @@ def _swap_refine(coords: list[Coord], groups: list[tuple[int, ...]],
     # Per group: span, doubled center x, doubled center y.
     box = [(e[2] - e[0] + e[6] - e[4], e[0] + e[2], e[4] + e[6]) for e in ext]
 
-    for _ in range(max_rounds):
+    for _ in range(SWAP_ROUNDS):
         improved = False
         for ka, kb in itertools.combinations(range(k), 2):
             ga, gb = groups[ka], groups[kb]
@@ -282,11 +284,10 @@ def _exact_groups(coords: list[Coord], tp: int, k: int, w_inter: float,
     return best
 
 
-def tp_group(coords: list[Coord], tp: int, w_inter: float = 0.5, *,
-             exact_limit: int = 10) -> TpGrouping:
+def tp_group(coords: list[Coord], tp: int, w_inter: float = 0.5) -> TpGrouping:
     """Partition a PE pool into floor(P/tp) chained groups of tp PEs.
 
-    Exact (branch and bound) up to exact_limit PEs; greedy tiling plus swap
+    Exact (branch and bound) up to EXACT_LIMIT PEs; greedy tiling plus swap
     refinement beyond that, flagged via proven_optimal.
     """
     if tp < 1:
@@ -299,7 +300,7 @@ def tp_group(coords: list[Coord], tp: int, w_inter: float = 0.5, *,
         raise EmptyGroup(f"pool of {p} PEs cannot form a group of {tp}")
     coords = list(coords)
     greedy = _greedy_groups(coords, tp, k)
-    if p <= exact_limit:
+    if p <= EXACT_LIMIT:
         groups = _exact_groups(coords, tp, k, w_inter, greedy)
         proven = True
     else:

@@ -59,11 +59,11 @@ from . import dataflow, ops
 from .comm import MeshCoord, allreduce_cost, link_delay, link_energy, manhattan
 from .compute import vpu_cycles
 from .dram import effective_bandwidth
-from .hwspec import ChipletSpec, ModelSpec, SystemSpec
+from .hwspec import ChipletSpec, Infeasible, ModelSpec, SystemSpec
 from .mapping import PdPlan, PhasePlan
 
 
-class KvOverflow(Exception):
+class KvOverflow(Infeasible):
     """A single request's KV exceeds the whole decode KV budget."""
 
 
@@ -93,6 +93,7 @@ TRACE_MEANS: dict[str, tuple[int, int]] = {
 }
 
 _LEN_SIGMA = 0.5
+ROOF_SLACK = 1.01  # achieved/roof ratio roofline_check still lets pass
 
 
 def synth_trace(source: str, n: int, rate_rps: float, seed: int,
@@ -139,14 +140,17 @@ _TRACE_COLUMNS = {"rid": int, "arrival_s": float, "input_len": int, "output_len"
 
 
 def load_trace_csv(path: str) -> tuple[Request, ...]:
-    """Requests from a CSV with dump_trace_csv's columns. Raises ValueError
-    naming a missing column, the line and cells of a bad row, the line of a
-    repeated rid, or when the file holds no request."""
+    """Requests from a CSV whose header names exactly dump_trace_csv's
+    columns. Raises ValueError naming a missing, unknown or repeated column,
+    the line and cells of a bad row, the line of a repeated rid, or when the
+    file holds no request."""
     with open(path, newline="") as f:
         reader = csv.DictReader(f)
-        missing = [c for c in _TRACE_COLUMNS if c not in (reader.fieldnames or ())]
-        if missing:
-            raise ValueError(f"missing columns {missing}")
+        cols = reader.fieldnames or []
+        missing = [c for c in _TRACE_COLUMNS if c not in cols]
+        extra = [c for i, c in enumerate(cols) if c not in _TRACE_COLUMNS or c in cols[:i]]
+        if missing or extra:
+            raise ValueError(f"missing columns {missing}, unknown or repeated {extra}")
         rows = list(reader)
     if not rows:
         raise ValueError("no requests")
@@ -774,9 +778,8 @@ def simulate(spec: SystemSpec, model: ModelSpec, plan: PdPlan,
 
 
 def roofline_check(metrics: ServingMetrics, spec: SystemSpec, plan: PdPlan,
-                   temps: float | Mapping[tuple[int, int], float] = 65.0,
-                   slack: float = 1.01) -> list[str]:
-    """Operators whose achieved per-PE rate beats min(compute, AI * bw).
+                   temps: float | Mapping[tuple[int, int], float] = 65.0) -> list[str]:
+    """Operators whose achieved per-PE rate beats ROOF_SLACK * min(compute, AI * bw).
 
     Audits metrics.op_records, one per distinct operator cost. Returns
     human-readable violation strings; empty means every operator sits on or
@@ -806,7 +809,7 @@ def roofline_check(metrics: ServingMetrics, spec: SystemSpec, plan: PdPlan,
             roof = min(peak, ai * bw)
         else:
             roof = peak
-        if achieved > roof * slack:
+        if achieved > roof * ROOF_SLACK:
             out.append(
                 f"op {i} {rec.phase.value}/{rec.tag}: {achieved:.3e} flop/s "
                 f"exceeds roof {roof:.3e}")

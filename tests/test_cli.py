@@ -381,6 +381,34 @@ def test_dse_system_kv_budget_beyond_slice_exit3(tmp_path, capsys):
     assert report["histogram"] == {"CapacityExceeded": 2}
 
 
+@pytest.mark.parametrize("dc_edits,reject", [
+    ({"pe": {"sram_capacity_bytes": 1}}, "0,NoFeasibleMapping"),
+    ({"power": {"leak_base_w_per_pe": 300}, "tdp_w": 5000}, "1,RefreshStall"),
+], ids=["sram_fits_no_tile", "refresh_stall"])
+def test_dse_system_rejects_an_infeasible_candidate(tmp_path, dc_edits, reject):
+    """A design that raises an exit-3 error is one rejected row, and the
+    design on the unedited decode chiplet still wins."""
+    system = json.loads((CONFIGS / "system_small.json").read_text())
+    system["rack_power_limit_w"] = 1e6
+    types = system["chiplet_types"]
+    bad = dict(types["dc"])
+    for key, value in dc_edits.items():  # a dict value edits fields of a section
+        bad[key] = {**bad[key], **value} if isinstance(value, dict) else value
+    (tmp_path / "system.json").write_text(json.dumps(system))
+    (tmp_path / "cand.json").write_text(json.dumps({"pc": [types["pc"]],
+                                                    "dc": [types["dc"], bad]}))
+    out = tmp_path / "dse"
+    assert main(["dse", "--level", "system", "--system", str(tmp_path / "system.json"),
+                 "--model", "model_tiny.json", "--trace", "code:n=2", "--counts", "1,1",
+                 "--budget", "3", "--jobs", "1", "--candidates", str(tmp_path / "cand.json"),
+                 "--out", str(out)]) == 0
+    assert json.loads((out / "best.json").read_text())["point"]["dc"] == 0
+    rows = (out / "ranking.csv").read_text().strip().splitlines()[1:]
+    assert [r.split(",")[:6] for r in rows] == [["0", "0", "0", "1", "1", "1"],
+                                                ["1", "0", "1", "1", "1", "0"]]
+    assert rows[1].endswith("," + reject)
+
+
 def test_dse_bad_counts_exit2(tmp_path, capsys):
     code = main(dse_system_args(tmp_path / "x", "--counts", "nope"))
     assert code == 2
@@ -592,6 +620,13 @@ BAD_INPUTS = {
                      "--slo-tbt must be > 0"),
     "trace_csv_repeated_rid": (["simulate", *SMALL, "--trace", INPUT],
                                TRACE_HEADER + "0,0.0,5,3\n0,0.1,5,3\n", "line 3: rid 0"),
+    # a header naming other than exactly the four columns
+    "trace_csv_unknown_column": (["simulate", *SMALL, "--trace", INPUT],
+                                 "rid,arrival_s,input_len,output_len,priority\n0,0.0,5,3,1\n",
+                                 "unknown or repeated ['priority']"),
+    "trace_csv_repeated_column": (["simulate", *SMALL, "--trace", INPUT],
+                                  "rid,arrival_s,input_len,output_len,input_len\n"
+                                  "0,0.0,16,3,999\n", "unknown or repeated ['input_len']"),
 }
 for keys in (("flops_scale",), ("pe", "sram_banks"), ("pe", "noc_flit_bits"),
              ("dram", "page_size_bytes")):

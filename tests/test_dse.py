@@ -5,16 +5,17 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from dataclasses import replace
 from multiprocessing.pool import ThreadPool
 from pathlib import Path
 
 import pytest
 
-from conftest import make_chiplet, make_dram, make_model, make_system
+from conftest import make_chiplet, make_dram, make_model, make_pe, make_system
 import lamosim
 from lamosim import dse, mapping, ops
 from lamosim.comm import allreduce_cost, link_delay, manhattan
-from lamosim.hwspec import (ConfigError, ModelSpec, Role, SystemSpec,
+from lamosim.hwspec import (ConfigError, ModelSpec, PowerConsts, Role, SystemSpec,
                             derive_chiplet_metrics, load_model, load_system)
 from lamosim.mapping import (CapacityExceeded, cached_tp_group, estimate_layer_costs,
                              group_center_coord, pool_chiplet, pool_pe_coords,
@@ -495,6 +496,43 @@ def test_evaluate_design_static_rejection_is_free():
         model=make_model(), trace=_trace(), slo=dse.Slo())
     assert not ev.feasible and "PowerExceeded" in ev.violations
     assert not ev.simulated
+
+
+# Decode chiplets that pass static validation but admit no run: an SRAM that
+# fits no tile fails the plan search; leakage that heats the DRAM past
+# refresh fails once the first coupling round has set the temperatures.
+INFEASIBLE_DECODE = {
+    "sram_fits_no_tile": (dict(pe=make_pe(sram_capacity_bytes=1)), "NoFeasibleMapping", False),
+    "refresh_stall_after_round_1": (dict(tdp_w=5000.0, power=PowerConsts(
+        leak_base_w_per_pe=300.0, dram_static_w_per_layer=1.0, refresh_w_per_layer=0.25)),
+        "RefreshStall", True),
+}
+
+
+@pytest.mark.parametrize("over,name,simulated", INFEASIBLE_DECODE.values(),
+                         ids=INFEASIBLE_DECODE.keys())
+def test_evaluate_design_rejects_an_infeasible_run_under_its_type(over, name, simulated):
+    pcs, dcs = _candidates()
+    ev = dse.evaluate_design(
+        dse.DesignPoint(pc=0, dc=0, n_pc=2, n_dc=2),
+        pc_candidates=pcs, dc_candidates=[replace(dcs[0], **over)],
+        template=make_system(rack_power_limit_w=1e6), model=make_model(),
+        trace=_trace(), slo=dse.Slo())
+    assert not ev.feasible and ev.violations == (name,)
+    assert ev.simulated is simulated
+
+
+@pytest.mark.parametrize("over,name,simulated", INFEASIBLE_DECODE.values(),
+                         ids=INFEASIBLE_DECODE.keys())
+def test_system_dse_ranks_past_an_infeasible_design(over, name, simulated):
+    pcs, dcs = _candidates()
+    res = dse.system_dse(make_system(rack_power_limit_w=1e6), make_model(), _trace(),
+                         pcs[:1], [dcs[0], replace(dcs[0], **over)], [(2, 2)], dse.Slo(),
+                         budget=4, seed=0)
+    assert res.exhaustive and res.recheck_ok
+    assert res.best.feasible and res.best.point.dc == 0
+    assert [ev.violations for ev in res.evaluated] == [(), (name,)]
+    assert res.sim_count == 2 + simulated  # the good design, its re-check, the reject
 
 
 def test_system_dse_exhaustive_matches_brute_force():

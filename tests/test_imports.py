@@ -20,6 +20,7 @@ from lamosim.hwspec import (
     CoolingSpec,
     DramStackSpec,
     FlowLevel,
+    Infeasible,
     ModelSpec,
     PeSpec,
     PowerConsts,
@@ -128,3 +129,18 @@ def test_cli_import_loads_every_traced_module():
     traced = {mod for targets in tracer.SPANS.values() for mod, _ in targets}
     assert traced
     assert sorted(traced - set(modules_after_cli_import())) == []
+
+
+def test_infeasible_types_are_the_reviewed_seven():
+    """The CLI exits 3 on any `Infeasible`, and the system DSE rejects a design
+    on one, so a new subclass changes both; listing them makes that reviewed."""
+    import lamosim.cli  # noqa: F401  loads every module that defines one
+
+    todo, names = [Infeasible], []
+    while todo:
+        subs = todo.pop().__subclasses__()
+        names += [c.__name__ for c in subs]
+        todo += subs
+    assert sorted(names) == ["CapacityExceeded", "EmptyGroup", "KvOverflow",
+                             "NoFeasibleMapping", "RefreshStall", "SystemValidationError",
+                             "TooManyStages"]

@@ -117,19 +117,22 @@ def test_grouping_errors():
         tp_group(mesh(2, 2), 0)
 
 
-def test_grouping_fallback_close_to_exact():
+def test_grouping_fallback_close_to_exact(monkeypatch):
     coords = mesh(4, 3)
-    exact = tp_group(coords, 4, 0.5, exact_limit=12)
+    monkeypatch.setattr(mapping, "EXACT_LIMIT", 12)
+    exact = tp_group(coords, 4, 0.5)
     assert exact.proven_optimal
-    fallback = tp_group(coords, 4, 0.5, exact_limit=10)
+    monkeypatch.setattr(mapping, "EXACT_LIMIT", 10)
+    fallback = tp_group(coords, 4, 0.5)
     assert not fallback.proven_optimal
     assert fallback.objective >= exact.objective - 1e-12
     assert fallback.objective <= exact.objective * 1.5 + 1e-12
 
 
-def test_grouping_heuristic_prefers_compact_boxes():
+def test_grouping_heuristic_prefers_compact_boxes(monkeypatch):
     # 4x4 mesh, tp=4: sixteen PEs tile into four 2x2 boxes of span 2 each.
-    g = tp_group(mesh(4, 4), 4, 0.0, exact_limit=4)
+    monkeypatch.setattr(mapping, "EXACT_LIMIT", 4)
+    g = tp_group(mesh(4, 4), 4, 0.0)
     assert not g.proven_optimal
     assert g.objective == pytest.approx(4 * 2)
 

@@ -259,13 +259,14 @@ def test_roofline_holds_on_mixed_trace(tiny_model, system):
     assert roofline_check(m, system, plan) == []
 
 
-def test_roofline_flags_every_timed_record_under_tiny_slack(tiny_model, system):
+def test_roofline_flags_every_timed_record_under_tiny_slack(tiny_model, system, monkeypatch):
     plan = _plan(system, tiny_model, tp_prefill=2, tp_decode=2, pp_decode=2)
     tr = synth_trace("custom", 8, 100.0, seed=9, mean_input=32, mean_output=6)
     m = simulate(system, tiny_model, plan, tr, SimConfig(len_bucket=16))
     timed = [rec for rec in m.op_records if rec.latency_s > 0.0]
     assert timed
-    assert len(roofline_check(m, system, plan, slack=1e-6)) == len(timed)
+    monkeypatch.setattr(serving, "ROOF_SLACK", 1e-6)
+    assert len(roofline_check(m, system, plan)) == len(timed)
 
 
 def test_op_records_do_not_grow_with_trace_length(tiny_model, system):
