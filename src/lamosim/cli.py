@@ -505,9 +505,8 @@ def _parse_counts(args, template) -> list[tuple[int, int]]:
                 raise UsageError(f"--counts {c!r} given twice")
             out.append((n_pc, n_dc))
         return out
-    roles = [template.chiplet_types[n].role for n in template.placement.values()]
-    return [(sum(r is Role.PREFILL for r in roles),
-             sum(r is Role.DECODE for r in roles))]
+    return [(len(template.coords_for_role(Role.PREFILL)),
+             len(template.coords_for_role(Role.DECODE)))]
 
 
 def _load_candidates(args, template, configs):

@@ -58,6 +58,8 @@ class SystemValidationError(Infeasible):
 
 
 class Role(Enum):
+    """A chiplet's pool, and the phase that pool runs (also `ops.Phase`)."""
+
     PREFILL = "prefill"
     DECODE = "decode"
 

@@ -23,12 +23,14 @@ start, each trial O(stages) on any pool). Its objective is the latency the
 assignment decides: two all-reduces per layer on each stage's group plus the
 activation handoffs between consecutive stages. Stage compute is the same on
 every group and so adds one constant to every assignment; placement leaves it
-out and runs no dataflow search. Plan assembly checks every stage's weight
-shard plus KV budget share (`stage_bytes`, the one capacity rule) against the
-group's DRAM slice; `kv_headroom` inverts that check, to within the bytes its
-floor division admits. The KV destination table `PdPlan.kv_dest` names the
-decode PE each prefill PE sends each layer's KV to: prefill shard i sends to
-shard i * tp_decode // tp_prefill of the layer's decode stage.
+out and runs no dataflow search. A phase (a `Role`) runs on its role's pool,
+of the one chiplet type `pool_chiplet` returns. Plan assembly checks every
+stage's weight shard plus KV budget share (`stage_bytes`, the one capacity
+rule) against tp pool-PE DRAM slices (`_group_capacity_bytes`);
+`kv_headroom` inverts that check, to within the bytes its floor division
+admits. The KV destination table `PdPlan.kv_dest` names the decode PE each
+prefill PE sends each layer's KV to: prefill shard i sends to shard
+i * tp_decode // tp_prefill of the layer's decode stage.
 
 Plan search (`search_plan`) ranks each phase's (tp, pp) shapes that pass
 `stage_bytes` by the phase's own objective, costing each width once on the
@@ -485,7 +487,7 @@ def place_stages(grouping: TpGrouping, pool: list[MeshCoord], n_stages: int,
 
 @dataclass(frozen=True)
 class PhasePlan:
-    phase: ops.Phase
+    phase: Role
     tp: int
     pp: int
     stage_members: tuple[tuple[MeshCoord, ...], ...]  # per stage, shard order
@@ -503,11 +505,11 @@ class PdPlan:
     kv_dest: tuple[tuple[tuple[MeshCoord, ...], ...], ...]
 
 
-def estimate_layer_costs(model: ModelSpec, chiplet: ChipletSpec, phase: ops.Phase,
+def estimate_layer_costs(model: ModelSpec, chiplet: ChipletSpec, phase: Role,
                          m_tokens: int, ctx_len: int, temp_c: float,
                          tp: int = 1) -> float:
     """Latency of one layer's tp-shard (compute + DRAM, no collectives) on one PE."""
-    batch = [(m_tokens, ctx_len)] if phase is ops.Phase.PREFILL else \
+    batch = [(m_tokens, ctx_len)] if phase is Role.PREFILL else \
         [(1, ctx_len)] * m_tokens
     op_list = ops.layer_ops(model, tp, phase, batch)
     total = 0.0
@@ -530,9 +532,9 @@ def pool_chiplet(spec: SystemSpec, role: Role) -> ChipletSpec:
     return spec.chiplet_at(coords[0])
 
 
-def _phase_plan(spec: SystemSpec, model: ModelSpec, role: Role, phase: ops.Phase,
-                tp: int, pp: int, seed: int, *, ref_tokens: int) -> PhasePlan:
-    pool = pool_pe_coords(spec, role)
+def _phase_plan(spec: SystemSpec, model: ModelSpec, phase: Role, tp: int, pp: int,
+                seed: int, *, ref_tokens: int) -> PhasePlan:
+    pool = pool_pe_coords(spec, phase)
     grouping = cached_tp_group(pool, tp, spec)
     act_bytes = ref_tokens * model.d_model * model.dtype_bytes
     placement = place_stages(grouping, pool, pp, model.n_layers, act_bytes, spec, seed)
@@ -549,20 +551,17 @@ def _phase_plan(spec: SystemSpec, model: ModelSpec, role: Role, phase: ops.Phase
     )
 
 
-def _group_capacity_bytes(members: tuple[MeshCoord, ...], spec: SystemSpec) -> int:
-    """Sum of each member PE's vertical DRAM slice."""
-    total = 0
-    for m in members:
-        c = spec.chiplet_at(m.chip)
-        total += c.dram.capacity_bytes // c.n_pe
-    return total
+def _group_capacity_bytes(spec: SystemSpec, phase: Role, tp: int) -> int:
+    """DRAM slice of a tp-PE group of the phase's pool: tp vertical PE slices."""
+    c = pool_chiplet(spec, phase)
+    return tp * (c.dram.capacity_bytes // c.n_pe)
 
 
 def stage_bytes(model: ModelSpec, layers: int, kv_budget_bytes: int = 0) -> int:
     """DRAM a pipeline stage of `layers` layers needs on its group's slice: its
     weight shard plus its layer share of the decode KV budget. The one
-    capacity rule: build_pd_plan checks it, kv_headroom inverts it and
-    _phase_ranking ranks (tp, pp) shapes by it."""
+    capacity rule: build_pd_plan checks it against _group_capacity_bytes,
+    kv_headroom inverts it and _phase_ranking ranks (tp, pp) shapes by it."""
     return (layers * model.weights_per_layer() * model.dtype_bytes
             + kv_budget_bytes * layers // model.n_layers)
 
@@ -574,10 +573,9 @@ def kv_headroom(plan: PhasePlan, spec: SystemSpec, model: ModelSpec) -> int:
     share (stage_bytes), so it also admits a few larger budgets, each fewer
     than N/L + 1 bytes above this one, L being the fewest layers any stage
     holds."""
-    return max(0, min(
-        (_group_capacity_bytes(members, spec) - stage_bytes(model, hi - lo))
-        * model.n_layers // (hi - lo)
-        for (lo, hi), members in zip(plan.layer_bounds, plan.stage_members)))
+    cap = _group_capacity_bytes(spec, plan.phase, plan.tp)
+    return max(0, min((cap - stage_bytes(model, hi - lo)) * model.n_layers // (hi - lo)
+                      for lo, hi in plan.layer_bounds))
 
 
 def build_pd_plan(spec: SystemSpec, model: ModelSpec, *,
@@ -590,16 +588,14 @@ def build_pd_plan(spec: SystemSpec, model: ModelSpec, *,
     must fit the group's DRAM slice; violations raise CapacityExceeded
     naming the stage.
     """
-    prefill = _phase_plan(
-        spec, model, Role.PREFILL, ops.Phase.PREFILL, tp_prefill, pp_prefill,
-        seed, ref_tokens=ref_tokens)
-    decode = _phase_plan(
-        spec, model, Role.DECODE, ops.Phase.DECODE, tp_decode, pp_decode,
-        seed + 1, ref_tokens=1)
+    prefill = _phase_plan(spec, model, Role.PREFILL, tp_prefill, pp_prefill, seed,
+                          ref_tokens=ref_tokens)
+    decode = _phase_plan(spec, model, Role.DECODE, tp_decode, pp_decode, seed + 1,
+                         ref_tokens=1)
     for plan, kv_budget in ((prefill, 0), (decode, kv_budget_decode_bytes)):
+        cap = _group_capacity_bytes(spec, plan.phase, plan.tp)
         for s, (lo, hi) in enumerate(plan.layer_bounds):
             need = stage_bytes(model, hi - lo, kv_budget)
-            cap = _group_capacity_bytes(plan.stage_members[s], spec)
             if need > cap:
                 raise CapacityExceeded(
                     f"{plan.phase.value} stage {s}: needs {need} B "
@@ -645,27 +641,28 @@ def _phase_shapes(pool_n: int, n_layers: int) -> list[tuple[int, list[int]]]:
             for tp in sorted(tps)]
 
 
-def _phase_ranking(spec: SystemSpec, model: ModelSpec, role: Role,
-                   phase: ops.Phase, m_tokens: int, ctx: int, temp_c: float,
+def _phase_ranking(spec: SystemSpec, model: ModelSpec, phase: Role, m_tokens: int,
+                   ctx: int, temp_c: float,
                    kv_budget_bytes: int = 0) -> list[tuple[float, int, int]]:
     """Every (tp, pp) shape of a phase that fits, as (score, pp, -tp), best
     first. A shape fits when its deepest stage holds on the group slice by
-    `stage_bytes`, the rule build_pd_plan checks. Everything but the stage
-    count depends on tp alone, so each width is costed once, on the first
-    two groups of `cached_tp_group`, the grouping build_pd_plan places on.
+    `stage_bytes` and `_group_capacity_bytes`, the rule build_pd_plan checks.
+    Everything but the stage count depends on tp alone, so each width is
+    costed once, on the first two groups of `cached_tp_group`, the grouping
+    build_pd_plan places on.
 
     Prefill: one request's traversal = all layers in sequence plus a handoff
     per stage boundary. Decode: beat period of the deepest stage; transfers
     overlap the next beat so they do not enter the period.
     """
-    pool = pool_pe_coords(spec, role)
-    chiplet = pool_chiplet(spec, role)
-    slice_b = chiplet.dram.capacity_bytes // chiplet.n_pe
+    pool = pool_pe_coords(spec, phase)
+    chiplet = pool_chiplet(spec, phase)
     msg = m_tokens * model.d_model * model.dtype_bytes
     table = []
     for tp, pps in _phase_shapes(len(pool), model.n_layers):
+        cap = _group_capacity_bytes(spec, phase, tp)
         pps = [pp for pp in pps if stage_bytes(
-            model, math.ceil(model.n_layers / pp), kv_budget_bytes) <= tp * slice_b]
+            model, math.ceil(model.n_layers / pp), kv_budget_bytes) <= cap]
         if not pps:
             continue
         layer_s = estimate_layer_costs(model, chiplet, phase, m_tokens, ctx, temp_c, tp)
@@ -673,7 +670,7 @@ def _phase_ranking(spec: SystemSpec, model: ModelSpec, role: Role,
                                    msg, spec)
         handoff = link_delay(msg, *manhattan(*centers, spec), spec) if pps[-1] > 1 else 0.0
         for pp in pps:
-            if phase is ops.Phase.PREFILL:
+            if phase is Role.PREFILL:
                 score = model.n_layers * (layer_s + 2.0 * ar[0]) + (pp - 1) * handoff
             else:
                 score = math.ceil(model.n_layers / pp) * (layer_s + 2.0 * ar[0])
@@ -700,10 +697,10 @@ def search_plan(spec: SystemSpec, model: ModelSpec, *,
     chosen decode placement actually has, and returned for the serving config.
     """
     kv_budget = kv_budget_decode_bytes or 0
-    ps, ppp, ptp = _phase_ranking(spec, model, Role.PREFILL, ops.Phase.PREFILL,
-                                  ref_prefill_tokens, ref_prefill_tokens, temp_c)[0]
-    ds, dpp, dtp = _phase_ranking(spec, model, Role.DECODE, ops.Phase.DECODE,
-                                  ref_decode_batch, ref_decode_ctx, temp_c, kv_budget)[0]
+    ps, ppp, ptp = _phase_ranking(spec, model, Role.PREFILL, ref_prefill_tokens,
+                                  ref_prefill_tokens, temp_c)[0]
+    ds, dpp, dtp = _phase_ranking(spec, model, Role.DECODE, ref_decode_batch,
+                                  ref_decode_ctx, temp_c, kv_budget)[0]
     plan = build_pd_plan(
         spec, model,
         tp_prefill=-ptp, pp_prefill=ppp, tp_decode=-dtp, pp_decode=dpp,

@@ -8,6 +8,7 @@ per shard.
 
 These shapes are the single source of truth for layer cost estimation and for
 the serving simulator, so hand-composed oracles and the event engine agree.
+A phase is a `hwspec.Role`: each pool runs the phase it is named for.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .compute import GemmShape
-from .hwspec import ModelSpec
+from .hwspec import ModelSpec, Role
 
 
 class OpKind(Enum):
@@ -26,9 +27,7 @@ class OpKind(Enum):
     ALLREDUCE = "allreduce"
 
 
-class Phase(Enum):
-    PREFILL = "prefill"
-    DECODE = "decode"
+Phase = Role
 
 
 @dataclass(frozen=True)
@@ -76,7 +75,7 @@ def proj_ops(model: ModelSpec, tp: int, m_tokens: int) -> tuple[list[OpSpec], li
     return pre, post
 
 
-def attn_ops(model: ModelSpec, tp: int, phase: Phase, new_tokens: int, ctx_len: int) -> list[OpSpec]:
+def attn_ops(model: ModelSpec, tp: int, new_tokens: int, ctx_len: int) -> list[OpSpec]:
     """Attention ops for one request: scores, softmax, weighted sum.
 
     Prefill runs new_tokens x ctx_len score matrices per head; decode runs one
@@ -97,7 +96,7 @@ def attn_ops(model: ModelSpec, tp: int, phase: Phase, new_tokens: int, ctx_len: 
     ]
 
 
-def layer_ops(model: ModelSpec, tp: int, phase: Phase,
+def layer_ops(model: ModelSpec, tp: int, phase: Role,
               batch: list[tuple[int, int]]) -> list[OpSpec]:
     """All ops of one decoder block for a batch of (new_tokens, ctx_len)
     requests: batched projections, per-request attention."""
@@ -105,6 +104,6 @@ def layer_ops(model: ModelSpec, tp: int, phase: Phase,
     pre, post = proj_ops(model, tp, m_tokens)
     ops = list(pre)
     for nt, ctx in batch:
-        ops.extend(attn_ops(model, tp, phase, nt, ctx))
+        ops.extend(attn_ops(model, tp, nt, ctx))
     ops.extend(post)
     return ops

@@ -59,8 +59,8 @@ from . import dataflow, ops
 from .comm import MeshCoord, allreduce_cost, link_delay, link_energy, manhattan
 from .compute import vpu_cycles
 from .dram import effective_bandwidth
-from .hwspec import ChipletSpec, Infeasible, ModelSpec, SystemSpec
-from .mapping import PdPlan, PhasePlan
+from .hwspec import Infeasible, ModelSpec, Role, SystemSpec
+from .mapping import PdPlan, PhasePlan, pool_chiplet
 
 
 class KvOverflow(Infeasible):
@@ -142,8 +142,8 @@ _TRACE_COLUMNS = {"rid": int, "arrival_s": float, "input_len": int, "output_len"
 def load_trace_csv(path: str) -> tuple[Request, ...]:
     """Requests from a CSV whose header names exactly dump_trace_csv's
     columns. Raises ValueError naming a missing, unknown or repeated column,
-    the line and cells of a bad row, the line of a repeated rid, or when the
-    file holds no request."""
+    the line and cells of a bad row, the line of a row with cells beyond the
+    header or of a repeated rid, or when the file holds no request."""
     with open(path, newline="") as f:
         reader = csv.DictReader(f)
         cols = reader.fieldnames or []
@@ -151,12 +151,14 @@ def load_trace_csv(path: str) -> tuple[Request, ...]:
         extra = [c for i, c in enumerate(cols) if c not in _TRACE_COLUMNS or c in cols[:i]]
         if missing or extra:
             raise ValueError(f"missing columns {missing}, unknown or repeated {extra}")
-        rows = list(reader)
+        rows = [(reader.line_num, row) for row in reader]  # blank lines are skipped
     if not rows:
         raise ValueError("no requests")
     lines: dict[int, int] = {}  # rid -> the line that holds it
     trace = []
-    for line, row in enumerate(rows, start=2):
+    for line, row in rows:
+        if None in row:  # DictReader files cells beyond the header under None
+            raise ValueError(f"line {line}: {len(row[None])} cell(s) beyond the header")
         try:
             req = Request(**{c: kind(row[c]) for c, kind in _TRACE_COLUMNS.items()})
         except (TypeError, ValueError) as e:  # TypeError: a short row's missing cell
@@ -196,7 +198,7 @@ class SimConfig:
 class OpRecord:
     """One executed operator on one PE shard (one layer's worth)."""
 
-    phase: ops.Phase
+    phase: Role
     kind: ops.OpKind  # GEMM or VPU
     tag: str
     flops: int
@@ -360,7 +362,7 @@ class _PhaseCtx:
         self.members = [list(m) for m in plan.stage_members]
         self.member_chips = [tuple(m.chip for m in mem) for mem in self.members]
         self.centers = list(plan.stage_centers)
-        self.chiplet: ChipletSpec = spec.chiplet_at(self.member_chips[0][0])
+        self.chiplet = pool_chiplet(spec, plan.phase)
         self.stage_temp = [_chips_temp(set(chips), temps) for chips in self.member_chips]
         self.bounds = list(plan.layer_bounds)
         # activation handoff hop counts between consecutive stage centers
@@ -495,7 +497,7 @@ class _Sim:
             g = attn_memo.get((nt, c))
             if g is None:
                 g = attn_memo[(nt, c)] = self._op_group(
-                    ctx, s, ops.attn_ops(self.model, ctx.plan.tp, ctx.phase, nt, c))
+                    ctx, s, ops.attn_ops(self.model, ctx.plan.tp, nt, c))
             groups.append(g)
         groups.append(proj[1])
         t_layer = qkv_off = comp_j = dram_j = comm_j = 0.0
@@ -702,8 +704,7 @@ class _Sim:
         self.kv_used -= st.kv_bytes
         while self.kv_wait_q:
             nxt = self.kv_wait_q[0]
-            if self.cfg.kv_budget_bytes is not None \
-                    and self.kv_used + nxt.kv_bytes > self.cfg.kv_budget_bytes:
+            if self.kv_used + nxt.kv_bytes > self.cfg.kv_budget_bytes:
                 break
             self.kv_wait_q.popleft()
             self._admit(nxt)
@@ -751,8 +752,7 @@ class _Sim:
 
 
 def _check_plan(plan: PdPlan, model: ModelSpec) -> None:
-    for phase_plan, phase in ((plan.prefill, ops.Phase.PREFILL),
-                              (plan.decode, ops.Phase.DECODE)):
+    for phase_plan, phase in ((plan.prefill, Role.PREFILL), (plan.decode, Role.DECODE)):
         if phase_plan.phase is not phase:
             raise PlanMismatch(f"{phase.value} plan carries {phase_plan.phase}")
         if phase_plan.layer_bounds[-1][1] != model.n_layers:
@@ -789,7 +789,7 @@ def roofline_check(metrics: ServingMetrics, spec: SystemSpec, plan: PdPlan,
     by_phase = {}
     for phase_plan in (plan.prefill, plan.decode):
         chips = {m.chip for s in phase_plan.stage_members for m in s}
-        chiplet = spec.chiplet_at(next(iter(chips)))
+        chiplet = pool_chiplet(spec, phase_plan.phase)
         temp = _chips_temp(chips, temps)
         pe = chiplet.pe
         peak = 2.0 * pe.sa_rows * pe.sa_cols * pe.n_core * chiplet.clock_hz

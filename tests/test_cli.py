@@ -627,6 +627,16 @@ BAD_INPUTS = {
     "trace_csv_repeated_column": (["simulate", *SMALL, "--trace", INPUT],
                                   "rid,arrival_s,input_len,output_len,input_len\n"
                                   "0,0.0,16,3,999\n", "unknown or repeated ['input_len']"),
+    # a row with more cells than the four-column header
+    "trace_csv_extra_cell": (["simulate", *SMALL, "--trace", INPUT],
+                             TRACE_HEADER + "0,0.0,16,3,999\n", "line 2: 1 cell(s) beyond"),
+    "trace_csv_trailing_comma": (["simulate", *SMALL, "--trace", INPUT],
+                                 TRACE_HEADER + "0,0.0,16,3\n1,0.1,16,3,\n",
+                                 "line 3: 1 cell(s) beyond"),
+    # a bad row is named by its line in the file, blank lines counted
+    "trace_csv_bad_row_after_blank_line": (["simulate", *SMALL, "--trace", INPUT],
+                                           TRACE_HEADER + "0,0.0,16,3\n\n1,0.1,2.5,3\n",
+                                           "line 4 (rid=1"),
 }
 for keys in (("flops_scale",), ("pe", "sram_banks"), ("pe", "noc_flit_bits"),
              ("dram", "page_size_bytes")):

@@ -266,7 +266,7 @@ def _oracle_ranking(spec, model, role, phase, m_tokens, ctx, kv=0):
 
 
 def _table(spec, model, role, phase, m_tokens, ctx, kv=0):
-    return mapping._phase_ranking(spec, model, role, phase, m_tokens, ctx, 65.0, kv)
+    return mapping._phase_ranking(spec, model, role, m_tokens, ctx, 65.0, kv)
 
 
 def test_phase_shapes_group_the_flat_shape_list_by_width():

@@ -11,6 +11,8 @@ import json
 import os
 import subprocess
 import sys
+from collections import defaultdict
+from enum import Enum
 from pathlib import Path
 
 import lamosim
@@ -144,3 +146,73 @@ def test_infeasible_types_are_the_reviewed_seven():
     assert sorted(names) == ["CapacityExceeded", "EmptyGroup", "KvOverflow",
                              "NoFeasibleMapping", "RefreshStall", "SystemValidationError",
                              "TooManyStages"]
+
+
+def test_no_two_enums_share_a_value_set():
+    """One type per concept: an enum whose values repeat another's is a second
+    name for the same thing, and callers end up passing both. A module may
+    bind another module's enum under a second name; classes count once each."""
+    modules = [importlib.import_module(f"lamosim.{p.stem}")
+               for p in SRC.glob("*.py") if p.stem != "__main__"]  # __main__ runs the CLI
+    classes = {id(obj): obj for mod in modules for obj in vars(mod).values()
+               if isinstance(obj, type) and issubclass(obj, Enum)
+               and obj.__module__.startswith("lamosim.")}
+    by_values = defaultdict(list)
+    for cls in classes.values():
+        by_values[frozenset(m.value for m in cls)].append(f"{cls.__module__}.{cls.__name__}")
+    assert sorted(sorted(names) for names in by_values.values() if len(names) > 1) == []
+
+
+def unread_parameters(source: str) -> list[str]:
+    """`function.parameter` for each parameter of each function or lambda that
+    nothing in the function's body reads; methods are named `Class.method`."""
+    out = []
+
+    def visit(node: ast.AST, prefix: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                name = prefix + getattr(child, "name", "<lambda>")
+                a = child.args
+                params = [x.arg for x in (*a.posonlyargs, *a.args, *a.kwonlyargs,
+                                          a.vararg, a.kwarg) if x is not None]
+                body = child.body if isinstance(child.body, list) else [child.body]
+                reads = {n.id for stmt in body for n in ast.walk(stmt)
+                         if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+                out.extend(f"{name}.{q}" for q in params if q not in reads)
+                visit(child, name + ".")
+            elif isinstance(child, ast.ClassDef):
+                visit(child, prefix + child.name + ".")
+            else:
+                visit(child, prefix)
+
+    visit(ast.parse(source), "")
+    return out
+
+
+# Function parameters that nothing reads, each with the reason it stays.
+UNREAD_PARAMS_KEPT = {
+    "dataflow.enumerate_tilings.pe": "the tilings depend on the shape alone; "
+                                     "tests/test_acceptance.py passes the PE",
+    "ops.layer_ops.phase": "the batch alone sets the ops; tests/test_acceptance.py "
+                           "passes the phase",
+}
+
+
+def test_unread_parameters_detector():
+    src = ("def f(a, b, *c, d=1, **e):\n"
+           "    g = lambda x, y: x\n"
+           "    return a + d\n"
+           "class K:\n"
+           "    def m(self, z):\n"
+           "        def inner():\n"
+           "            return z\n"
+           "        return inner\n")
+    assert unread_parameters(src) == ["f.b", "f.c", "f.e", "f.<lambda>.y", "K.m.self"]
+
+
+def test_every_function_parameter_is_read():
+    """A parameter nothing reads accepts a value and ignores it."""
+    found = [f"{p.stem}.{name}" for p in sorted(SRC.glob("*.py"))
+             for name in unread_parameters(p.read_text())]
+    assert sorted(set(found) - set(UNREAD_PARAMS_KEPT)) == []
+    assert sorted(set(UNREAD_PARAMS_KEPT) - set(found)) == []

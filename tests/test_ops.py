@@ -34,7 +34,7 @@ def test_proj_shapes_tp2_shards_n_dims():
 
 def test_attn_shapes_fold_heads():
     m = make_model()
-    got = ops.attn_ops(m, tp=1, phase=ops.Phase.DECODE, new_tokens=1, ctx_len=10)
+    got = ops.attn_ops(m, tp=1, new_tokens=1, ctx_len=10)
     assert got[0].shape == GemmShape(1, 10 * 2, 4)
     assert got[1].elements == 1 * 10 * 2
     assert got[2].shape == GemmShape(1, 4 * 2, 10)
