@@ -13,8 +13,9 @@ Two layers, each usable on its own:
     is planned by `mapping.search_plan`.
 
 Budget here counts full serving simulations. A design that raises any
-`hwspec.Infeasible` is one rejected point (a failed validation under its
-violation kinds, else under the type's name), free if it never simulated.
+`hwspec.Infeasible`, or whose thermal fixed point does not converge
+(`thermal.NonConvergence`), is one rejected point (a failed validation under
+its violation kinds, else under the type's name), free if it never simulated.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from .hwspec import (
 )
 from .mapping import search_plan
 from .serving import SimConfig
-from .thermal import coupled_serve
+from .thermal import NonConvergence, coupled_serve
 
 
 class NoFeasibleDesign(Exception):
@@ -295,7 +296,7 @@ def evaluate_design(point: DesignPoint, *, pc_candidates: Sequence[ChipletSpec],
                                          run_cfg, start_temp_c=temp_c)
     except SystemValidationError as e:
         return rejected(sorted({v.kind for v in e.violations}))
-    except Infeasible as e:
+    except (Infeasible, NonConvergence) as e:
         return rejected([type(e).__name__], simulated)
     violations = []
     ttft = metrics.ttft_percentile(95)

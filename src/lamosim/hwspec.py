@@ -325,8 +325,9 @@ class SystemSpec:
         for role in Role:
             names = {n for n in self.placement.values() if self.chiplet_types[n].role is role}
             _require(len(names) <= 1, f"{role.value} pool mixes chiplet types {sorted(names)}")
-        for a in ("alpha_noc_s_per_byte", "alpha_nop_s_per_byte",
-                  "beta_noc_s_per_hop", "beta_nop_s_per_hop"):
+        for a in ("alpha_noc_s_per_byte", "alpha_nop_s_per_byte", "beta_noc_s_per_hop",
+                  "beta_nop_s_per_hop", "comm_energy_noc_pj_per_byte_hop",
+                  "comm_energy_nop_pj_per_byte_hop"):
             _require(getattr(self, a) >= 0.0, f"system.{a} must be >= 0")
         _require(self.edge_hops >= 0, "system.edge_hops must be >= 0")
         _require(self.rack_power_limit_w > 0.0, "system.rack_power_limit_w must be > 0")

@@ -2,11 +2,12 @@
 
 Requests flow arrival -> prefill pipeline -> KV migration -> decode pool.
 Each phase runs on its own pool, and both run the same stage pipeline: a
-batch enters the first stage whenever that stage goes idle, traverses the
-stages in order with an activation handoff between consecutive stage
-centers, and waits in a stage's queue while that stage is busy. The phases
-differ only in how a batch forms, the rows it hands on, and what its last
-stage does:
+batch enters the first stage whenever that stage goes idle and traverses the
+stages in order, with an activation handoff between consecutive stage
+centers. Each stage serves batches one at a time, in the order they entered
+the first stage, as pipeline stages run micro-batches in issue order. The
+phases differ only in how a batch forms, the rows it hands on, and what its
+last stage does:
 
 - Prefill admits FCFS jobs of up to max_prefill_batch requests, hands on one
   row per prompt token, and emits each request's first token at the last
@@ -31,16 +32,17 @@ once, in the order it was first built, so neither grows with the trace's
 length.
 
 The engine pops (time, sequence, method, arguments) events off a heap, so
-events at equal times run in the order they were scheduled. A prefill job or
-decode beat computes its handoff rows and batch key once, when it forms, and
-carries that key's list of per-stage costs, filled the first time a batch
-with that key reaches each stage. A stage cost is built from per-stage memos
-of operator costs: the projections and all-reduces per batch token count,
-and each request's attention per (new tokens, context). Their latencies and
-energies are added in op order, so the cost equals costing every op of
-ops.layer_ops in turn. Handoff delay and energy are memoized per (stage,
-bytes). A stage execution thus costs work in the group width, not the beat
-size.
+events at equal times run in the order they were scheduled. As stages serve
+in entry order, a prefill job's or decode beat's start at every stage is
+known when it forms, so it crosses the whole pipeline then, booking every
+stage's energy and KV sends, and takes two events at any pipeline depth:
+stage 0 going free and the batch leaving the last stage. A batch key's stage
+costs are built when its first batch forms, from per-stage memos of operator
+costs: the projections and all-reduces per batch token count, and each
+request's attention per (new tokens, context). Their latencies and energies
+are added in op order, so the cost equals costing every op of ops.layer_ops
+in turn. Handoff delay and energy are memoized per (stage, bytes). A stage
+execution thus costs work in the group width, not the beat size.
 """
 
 from __future__ import annotations
@@ -333,26 +335,11 @@ def _chips_temp(chips: set[tuple[int, int]],
     return float(temps)
 
 
-class _Batch:
-    """Requests crossing one phase's pipeline together: a prefill job or a
-    decode beat. Its contexts stay fixed while it is in flight, so its
-    handoff rows (activation rows sent from each stage to the next), its
-    batch key, and the list of that key's stage costs hold for every stage."""
-
-    __slots__ = ("states", "rows", "key", "costs")
-
-    def __init__(self, states: list[_ReqState], rows: int,
-                 key: tuple[tuple[int, int], ...], costs: list[_StageCost | None]):
-        self.states = states
-        self.rows = rows
-        self.key = key
-        self.costs = costs
-
-
 class _PhaseCtx:
-    """One phase's pipeline: its stages' members, centers, temps and chiplet,
-    each stage's busy flag and queue of batches waiting for it, and the memos
-    of its stage costs, operator groups and activation handoffs."""
+    """One phase's pipeline: its stages' members, centers, temps and chiplet;
+    whether stage 0 holds a batch and when each stage finishes the last batch
+    booked on it; and the memos of its stage costs, operator groups and
+    activation handoffs."""
 
     def __init__(self, spec: SystemSpec, plan: PhasePlan,
                  temps: float | Mapping[tuple[int, int], float]):
@@ -370,23 +357,16 @@ class _PhaseCtx:
             manhattan(self.centers[s], self.centers[s + 1], spec)
             for s in range(len(self.centers) - 1)
         ]
-        self.busy = [False] * plan.pp
-        self.queues: list[deque[_Batch]] = [deque() for _ in range(plan.pp)]
-        # batch key -> each stage's cost, filled as a batch reaches the stage
-        self.costs: dict[tuple[tuple[int, int], ...], list[_StageCost | None]] = {}
+        self.busy = False  # from a batch's entry until its stage-0-free event
+        self.free = [0.0] * plan.pp
+        # batch key -> each stage's cost
+        self.costs: dict[tuple[tuple[int, int], ...], list[_StageCost]] = {}
         # per stage: token count -> (projections before, after attention)
         self.proj: list[dict[int, tuple[_OpGroup, _OpGroup]]] = [{} for _ in range(plan.pp)]
         # per stage: (new tokens, context) -> one request's attention
         self.attn: list[dict[tuple[int, int], _OpGroup]] = [{} for _ in range(plan.pp)]
         # (stage, bytes) -> (delay, energy) of the handoff to the next stage
         self.handoffs: dict[tuple[int, int], tuple[float, float]] = {}
-
-    def batch(self, states: list[_ReqState], rows: int,
-              key: tuple[tuple[int, int], ...]) -> _Batch:
-        costs = self.costs.get(key)
-        if costs is None:
-            costs = self.costs[key] = [None] * self.pp
-        return _Batch(states, rows, key, costs)
 
 
 class _Sim:
@@ -478,13 +458,13 @@ class _Sim:
             costs.append((dt, comp_j, dram_j, comm_j, op.tag == "qkv"))
         return tuple(costs)
 
-    def _stage_cost(self, ctx: _PhaseCtx, s: int, batch: _Batch) -> _StageCost:
-        """Build stage s's cost for the batch's key and store it in the
-        batch's cost list. The layer's ops run in ops.layer_ops order:
-        projections before attention, each request's attention, projections
-        after it. Their costs are added one by one in that order; an op with
-        no energy of some kind adds 0.0, which leaves the sum unchanged."""
-        key = batch.key
+    def _stage_cost(self, ctx: _PhaseCtx, s: int,
+                    key: tuple[tuple[int, int], ...]) -> _StageCost:
+        """Stage s's cost for a batch key. The layer's ops run in
+        ops.layer_ops order: projections before attention, each request's
+        attention, projections after it. Their costs are added one by one in
+        that order; an op with no energy of some kind adds 0.0, which leaves
+        the sum unchanged."""
         m_tokens = sum(nt for nt, _ in key)
         proj = ctx.proj[s].get(m_tokens)
         if proj is None:
@@ -513,7 +493,7 @@ class _Sim:
         n_layers = hi - lo
         shard_compute_j = comp_j * n_layers
         shard_dram_j = dram_j * n_layers
-        cost = _StageCost(
+        return _StageCost(
             duration_s=t_layer * n_layers,
             layer_s=t_layer,
             qkv_offset_s=qkv_off,
@@ -522,8 +502,6 @@ class _Sim:
             shard_j=shard_compute_j + shard_dram_j,
             comm_j=comm_j * n_layers,
         )
-        batch.costs[s] = cost
-        return cost
 
     def _run_stage(self, ctx: _PhaseCtx, s: int, cost: _StageCost) -> None:
         """Book one stage execution's energy: each member PE's shard into the
@@ -550,40 +528,43 @@ class _Sim:
         return got[0]
 
     # -- the stage pipeline, the same for both phases --
-    # A batch enters stage 0 only when stage 0 is free (_try_prefill_admit and
-    # _try_decode_start check), and _enqueue only takes it to later stages, so
-    # stage 0's queue stays empty in both phases. A freed stage therefore
-    # starts its next queued batch or, at stage 0, admits a new one.
+    # A batch enters stage 0 only while stage 0 holds none (_try_prefill_admit
+    # and _try_decode_start check ctx.busy). At stage s it starts at the later
+    # of its arrival and ctx.free[s], and it arrives at stage s + 1 after its
+    # stage time and the handoff.
 
-    def _start_stage(self, ctx: _PhaseCtx, s: int, batch: _Batch) -> None:
-        ctx.busy[s] = True
-        cost = batch.costs[s] or self._stage_cost(ctx, s, batch)
-        self._run_stage(ctx, s, cost)
-        if ctx is self.pre:
-            self._schedule_kv_sends(s, batch.states, cost)
-        self.at(self.now + cost.duration_s, self._end_stage, ctx, s, batch)
+    def _traverse(self, ctx: _PhaseCtx, states: list[_ReqState], rows: int,
+                  key: tuple[tuple[int, int], ...]) -> None:
+        """Enter a batch of `rows` handoff rows into stage 0 now and cross
+        every stage: book each stage's energy, send prefill KV from each
+        stage's start, and schedule stage 0 going free and the batch leaving
+        the last stage."""
+        costs = ctx.costs.get(key)
+        if costs is None:
+            costs = ctx.costs[key] = [self._stage_cost(ctx, s, key) for s in range(ctx.pp)]
+        ctx.busy = True
+        act_bytes = rows * self.act_bytes_per_token
+        free = ctx.free
+        t = self.now
+        for s, cost in enumerate(costs):
+            self._run_stage(ctx, s, cost)
+            start = max(t, free[s])
+            if ctx is self.pre:
+                self._schedule_kv_sends(s, states, cost, start)
+            t = free[s] = start + cost.duration_s
+            if s + 1 < ctx.pp:
+                t += self._handoff(ctx, s, act_bytes)
+        self.at(free[0], self._free_stage0, ctx)
+        self.at(t, self._finish_prefill if ctx is self.pre else self._finish_beat, states)
 
-    def _end_stage(self, ctx: _PhaseCtx, s: int, batch: _Batch) -> None:
-        ctx.busy[s] = False
-        if s + 1 < ctx.pp:
-            delay = self._handoff(ctx, s, batch.rows * self.act_bytes_per_token)
-            self.at(self.now + delay, self._enqueue, ctx, s + 1, batch)
-        elif ctx is self.pre:
-            self._finish_prefill(batch.states)
-        else:
-            self._finish_beat(batch.states)
-        if ctx.queues[s]:
-            self._start_stage(ctx, s, ctx.queues[s].popleft())
-        elif s == 0 and ctx is self.pre:
+    def _free_stage0(self, ctx: _PhaseCtx) -> None:
+        """Admit the next batch. A one-stage batch leaves at this instant, and
+        its finish admits once the batch's requests have moved on."""
+        ctx.busy = False
+        if ctx.pp > 1 and ctx is self.pre:
             self._try_prefill_admit()
-        elif s == 0:
+        elif ctx.pp > 1:
             self._try_decode_start()
-
-    def _enqueue(self, ctx: _PhaseCtx, s: int, batch: _Batch) -> None:
-        if ctx.busy[s]:
-            ctx.queues[s].append(batch)
-        else:
-            self._start_stage(ctx, s, batch)
 
     # -- prefill --
 
@@ -592,7 +573,7 @@ class _Sim:
         self._try_prefill_admit()
 
     def _try_prefill_admit(self) -> None:
-        if self.pre.busy[0] or not self.pre_q:
+        if self.pre.busy or not self.pre_q:
             return
         states = [self.pre_q.popleft()
                   for _ in range(min(self.cfg.max_prefill_batch, len(self.pre_q)))]
@@ -601,7 +582,7 @@ class _Sim:
             (_bucket(st.req.input_len, b), _bucket(st.req.input_len, b))
             for st in states))
         rows = sum(st.req.input_len for st in states)
-        self._start_stage(self.pre, 0, self.pre.batch(states, rows, key))
+        self._traverse(self.pre, states, rows, key)
 
     def _finish_prefill(self, states: list[_ReqState]) -> None:
         for st in states:
@@ -609,18 +590,20 @@ class _Sim:
             st.last_tok = self.now
             if st.req.output_len > 1 and st.outstanding_kv == 0:
                 self._mark_ready(st)
+        self._try_prefill_admit()
 
     def _schedule_kv_sends(self, s: int, states: list[_ReqState],
-                           cost: _StageCost) -> None:
-        """Queue this stage's KV pages onto the chiplet-pair bridges to their
-        `kv_dest` PEs, layer by layer as QKV completes inside the stage."""
+                           cost: _StageCost, start: float) -> None:
+        """Queue the KV pages of stage s, which starts the batch at `start`,
+        onto the chiplet-pair bridges to their `kv_dest` PEs, layer by layer
+        as QKV completes inside the stage."""
         for src, dests in zip(self.pre.members[s], self.kv_dest[s]):
             for st in states:
                 if st.req.output_len == 1:
                     continue
                 per_layer = st.req.input_len * self.kv_shard_layer_bytes
                 for k, dst in enumerate(dests):
-                    ready = self.now + k * cost.layer_s + cost.qkv_offset_s
+                    ready = start + k * cost.layer_s + cost.qkv_offset_s
                     st.outstanding_kv += 1
                     self.at(ready, self._bridge_send, st, src, dst, per_layer)
 
@@ -670,7 +653,7 @@ class _Sim:
         return out[:self.cfg.max_decode_batch]
 
     def _try_decode_start(self) -> None:
-        if self.dec.busy[0]:
+        if self.dec.busy:
             return
         if not self.cfg.continuous_batching and self.dec_beats_active > 0:
             return
@@ -682,7 +665,7 @@ class _Sim:
         self.dec_beats_active += 1
         b = self.cfg.len_bucket
         key = tuple(sorted((1, _bucket(st.ctx, b)) for st in beat))
-        self._start_stage(self.dec, 0, self.dec.batch(beat, len(beat), key))
+        self._traverse(self.dec, beat, len(beat), key)
 
     def _finish_beat(self, beat: list[_ReqState]) -> None:
         self.dec_beats_active -= 1

@@ -384,10 +384,12 @@ def test_dse_system_kv_budget_beyond_slice_exit3(tmp_path, capsys):
 @pytest.mark.parametrize("dc_edits,reject", [
     ({"pe": {"sram_capacity_bytes": 1}}, "0,NoFeasibleMapping"),
     ({"power": {"leak_base_w_per_pe": 300}, "tdp_w": 5000}, "1,RefreshStall"),
-], ids=["sram_fits_no_tile", "refresh_stall"])
+    ({"power": {"leak_base_w_per_pe": 400}, "tdp_w": 5000}, "1,NonConvergence"),
+], ids=["sram_fits_no_tile", "refresh_stall", "thermal_runaway"])
 def test_dse_system_rejects_an_infeasible_candidate(tmp_path, dc_edits, reject):
-    """A design that raises an exit-3 error is one rejected row, and the
-    design on the unedited decode chiplet still wins."""
+    """A design that raises an exit-3 error, or whose thermal fixed point does
+    not converge, is one rejected row, and the design on the unedited decode
+    chiplet still wins."""
     system = json.loads((CONFIGS / "system_small.json").read_text())
     system["rack_power_limit_w"] = 1e6
     types = system["chiplet_types"]
@@ -407,6 +409,21 @@ def test_dse_system_rejects_an_infeasible_candidate(tmp_path, dc_edits, reject):
     assert [r.split(",")[:6] for r in rows] == [["0", "0", "0", "1", "1", "1"],
                                                 ["1", "0", "1", "1", "1", "0"]]
     assert rows[1].endswith("," + reject)
+
+
+def test_simulate_thermal_runaway_exits_4(tmp_path, capsys):
+    """The decode leakage that the system DSE rejects as NonConvergence still
+    ends `simulate --thermal` with exit 4."""
+    system = json.loads((CONFIGS / "system_small.json").read_text())
+    system["rack_power_limit_w"] = 1e6
+    dc = system["chiplet_types"]["dc"]
+    dc["tdp_w"] = 5000
+    dc["power"]["leak_base_w_per_pe"] = 400
+    (tmp_path / "system.json").write_text(json.dumps(system))
+    assert main(["simulate", "--system", str(tmp_path / "system.json"), "--model",
+                 "model_tiny.json", "--trace", "code:n=2", "--thermal",
+                 "--out", str(tmp_path / "x")]) == 4
+    assert "thermal fixed point" in capsys.readouterr().err
 
 
 def test_dse_bad_counts_exit2(tmp_path, capsys):
@@ -550,6 +567,12 @@ BAD_INPUTS = {
     "system_t_rcd_infinity": (SIM_INPUT_SYSTEM, edited(
         "system_small.json", ("chiplet_types", "pc", "dram", "t_rcd_ns"), float("inf")),
         "system.chiplet_types.pc.dram.t_rcd_ns"),
+    "system_noc_energy_negative": (SIM_INPUT_SYSTEM, edited(
+        "system_small.json", ("comm_energy_noc_pj_per_byte_hop",), -1e6),
+        "system.comm_energy_noc_pj_per_byte_hop must be >= 0"),
+    "system_nop_energy_negative": (SIM_INPUT_SYSTEM, edited(
+        "system_small.json", ("comm_energy_nop_pj_per_byte_hop",), -1e6),
+        "system.comm_energy_nop_pj_per_byte_hop must be >= 0"),
     "system_ambient_nan": (SIM_INPUT_SYSTEM, edited(
         "system_small.json", ("cooling", "ambient_c"), float("nan")),
         "system.cooling.ambient_c"),

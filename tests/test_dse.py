@@ -500,12 +500,16 @@ def test_evaluate_design_static_rejection_is_free():
 
 # Decode chiplets that pass static validation but admit no run: an SRAM that
 # fits no tile fails the plan search; leakage that heats the DRAM past
-# refresh fails once the first coupling round has set the temperatures.
+# refresh fails once the first coupling round has set the temperatures; more
+# leakage still runs away, so the thermal fixed point does not converge.
 INFEASIBLE_DECODE = {
     "sram_fits_no_tile": (dict(pe=make_pe(sram_capacity_bytes=1)), "NoFeasibleMapping", False),
     "refresh_stall_after_round_1": (dict(tdp_w=5000.0, power=PowerConsts(
         leak_base_w_per_pe=300.0, dram_static_w_per_layer=1.0, refresh_w_per_layer=0.25)),
         "RefreshStall", True),
+    "thermal_runaway": (dict(tdp_w=5000.0, power=PowerConsts(
+        leak_base_w_per_pe=400.0, dram_static_w_per_layer=1.0, refresh_w_per_layer=0.25)),
+        "NonConvergence", True),
 }
 
 

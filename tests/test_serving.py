@@ -8,7 +8,7 @@ so it checks the bookkeeping rather than the cost model.
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import defaultdict, deque
 
 import pytest
 
@@ -354,12 +354,15 @@ def test_energy_includes_static_floor(tiny_model, system):
 # from the one that scheduled one closure per event and costed every operator
 # of every new stage cost on its own, the last from the one that kept a
 # separate copy of the stage pipeline per phase. The engine must reproduce
-# them exactly. Each case is (plan shape, SimConfig fields, temperatures);
-# together they cover continuous and static batching, KV-budget waits, a
-# two-stage prefill sending KV per layer, decode pp 2 and 4, both pipelines
-# queueing batches in one trace, and per-chip temperatures in different
-# refresh bins. Their op_records counts are the distinct records of the
-# engine just before records were interned.
+# them exactly. The per-chip totals were re-recorded when a batch came to
+# cross the pipeline in one step: it books every stage when it enters, so the
+# same stage energies are added in another order (at most 1.9e-16 relative).
+# Each case is (plan shape, SimConfig fields, temperatures); together they
+# cover continuous and static batching, KV-budget waits, a two-stage prefill
+# sending KV per layer, decode pp 2 and 4, both pipelines queueing batches in
+# one trace, and per-chip temperatures in different refresh bins. Their
+# op_records counts are the distinct records of the engine just before
+# records were interned.
 
 _ORACLE_PLAN = dict(tp_prefill=2, pp_prefill=1, tp_decode=2, pp_decode=2)
 _ORACLE_TEMPS = {(0, 0): 60.0, (1, 0): 92.0, (2, 0): 75.0, (3, 0): 101.0}
@@ -417,10 +420,10 @@ _ORACLE = {
         ],
         "energy_j": 0.22794653496445894,
         "chip_compute_j": [
-            ((0, 0), 6.25024e-07), ((2, 0), 1.4406400000000006e-07),
+            ((0, 0), 6.25024e-07), ((2, 0), 1.4406400000000004e-07),
         ],
         "chip_dram_j": [
-            ((0, 0), 2.0328447999999997e-06), ((2, 0), 1.6715775999999986e-06),
+            ((0, 0), 2.0328447999999997e-06), ((2, 0), 1.6715775999999984e-06),
         ],
         "op_records": 98,
     },
@@ -469,7 +472,7 @@ _ORACLE = {
         ],
         "energy_j": 0.370395830705395,
         "chip_compute_j": [
-            ((0, 0), 6.25024e-07), ((2, 0), 1.4406400000000017e-07),
+            ((0, 0), 6.25024e-07), ((2, 0), 1.440640000000002e-07),
         ],
         "chip_dram_j": [
             ((0, 0), 2.0328447999999997e-06), ((2, 0), 1.9468287999999987e-06),
@@ -495,11 +498,11 @@ _ORACLE = {
         ],
         "energy_j": 0.22805181465193866,
         "chip_compute_j": [
-            ((0, 0), 5.43328e-07), ((1, 0), 5.43328e-07), ((2, 0), 1.4406400000000006e-07),
+            ((0, 0), 5.43328e-07), ((1, 0), 5.43328e-07), ((2, 0), 1.4406400000000004e-07),
         ],
         "chip_dram_j": [
             ((0, 0), 1.8923519999999994e-06), ((1, 0), 1.8923519999999994e-06),
-            ((2, 0), 1.6715775999999986e-06),
+            ((2, 0), 1.6715775999999984e-06),
         ],
         "op_records": 128,
     },
@@ -526,8 +529,8 @@ _ORACLE = {
             ((3, 0), 7.203200000000003e-08),
         ],
         "chip_dram_j": [
-            ((0, 0), 2.0328447999999997e-06), ((2, 0), 9.16070399999999e-07),
-            ((3, 0), 9.16070399999999e-07),
+            ((0, 0), 2.0328447999999997e-06), ((2, 0), 9.160703999999989e-07),
+            ((3, 0), 9.160703999999989e-07),
         ],
         "op_records": 117,
     },
@@ -555,7 +558,7 @@ _ORACLE = {
         ],
         "chip_dram_j": [
             ((0, 0), 1.8923519999999994e-06), ((1, 0), 1.8923519999999994e-06),
-            ((2, 0), 9.16070399999999e-07), ((3, 0), 9.16070399999999e-07),
+            ((2, 0), 9.160703999999989e-07), ((3, 0), 9.160703999999989e-07),
         ],
         "op_records": 147,
     },
@@ -565,6 +568,164 @@ _ORACLE = {
 @pytest.mark.parametrize("case", list(_ORACLE_CASES))
 def test_engine_matches_recorded_outputs(case):
     assert _oracle_fingerprint(case) == _ORACLE[case]
+
+
+class _StageEventSim(serving._Sim):
+    """The engine before a batch crossed the pipeline in one step: each stage
+    has a busy flag and a FIFO queue, a batch takes an event at each stage's
+    end and at each handoff's arrival, and a key's stage cost is built the
+    first time a batch with that key starts the stage. A stage serves
+    batches in the order they arrive at it."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.overtakes = 0  # batches that start a stage before one that entered earlier
+        for ctx in (self.pre, self.dec):
+            ctx.stage_busy = [False] * ctx.pp
+            ctx.queues = [deque() for _ in range(ctx.pp)]
+            ctx.entered = 0
+            ctx.last_start = [-1] * ctx.pp  # entry index of the last batch started
+
+    def _set_busy(self, ctx, s, busy):
+        ctx.stage_busy[s] = busy
+        ctx.busy = ctx.stage_busy[0]
+
+    def _traverse(self, ctx, states, rows, key):
+        costs = ctx.costs.setdefault(key, [None] * ctx.pp)
+        ctx.entered += 1
+        self._start_stage(ctx, 0, (states, rows, key, costs, ctx.entered))
+
+    def _start_stage(self, ctx, s, batch):
+        states, _, key, costs, index = batch
+        self._set_busy(ctx, s, True)
+        self.overtakes += index < ctx.last_start[s]
+        ctx.last_start[s] = max(ctx.last_start[s], index)
+        if costs[s] is None:
+            costs[s] = self._stage_cost(ctx, s, key)
+        self._run_stage(ctx, s, costs[s])
+        if ctx is self.pre:
+            self._schedule_kv_sends(s, states, costs[s], self.now)
+        self.at(self.now + costs[s].duration_s, self._end_stage, ctx, s, batch)
+
+    def _end_stage(self, ctx, s, batch):
+        self._set_busy(ctx, s, False)
+        if s + 1 < ctx.pp:
+            delay = self._handoff(ctx, s, batch[1] * self.act_bytes_per_token)
+            self.at(self.now + delay, self._enqueue, ctx, s + 1, batch)
+        elif ctx is self.pre:
+            self._finish_prefill(batch[0])
+        else:
+            self._finish_beat(batch[0])
+        if ctx.queues[s]:
+            self._start_stage(ctx, s, ctx.queues[s].popleft())
+        elif s == 0 and ctx is self.pre:
+            self._try_prefill_admit()
+        elif s == 0:
+            self._try_decode_start()
+
+    def _enqueue(self, ctx, s, batch):
+        if ctx.stage_busy[s]:
+            ctx.queues[s].append(batch)
+        else:
+            self._start_stage(ctx, s, batch)
+
+
+def _run_both(*args) -> tuple[serving.ServingMetrics, serving.ServingMetrics, _StageEventSim]:
+    """The pipeline engine's and the per-stage event engine's metrics, and the
+    event engine itself."""
+    events = _StageEventSim(*args)
+    events.run()
+    return simulate(*args), events.metrics(events.spec), events
+
+
+@pytest.mark.parametrize("case", list(_ORACLE_CASES))
+def test_pipeline_traversal_equals_per_stage_event_engine(case):
+    """Where no batch overtakes another, crossing the pipeline in one step
+    gives the event engine's times, energy and operator records exactly. The
+    per-chip totals add the same stage energies in another order. A key's
+    later stages are costed when its first batch enters, not when it reaches
+    them, so where stages run at different temperatures their distinct
+    records are first built, and listed, in another order."""
+    new, old, events = _run_both(*_oracle_inputs(case))
+    assert events.overtakes == 0
+    assert new.requests == old.requests
+    assert new.makespan_s == old.makespan_s
+    assert new.energy_j == old.energy_j
+    assert len(new.op_records) == len(old.op_records)
+    assert set(new.op_records) == set(old.op_records)
+    if not isinstance(_ORACLE_CASES[case][2], dict):
+        assert new.op_records == old.op_records
+    assert new.stage_executions == old.stage_executions
+    for totals, ref in ((new.chip_compute_j, old.chip_compute_j),
+                        (new.chip_dram_j, old.chip_dram_j)):
+        assert totals.keys() == ref.keys()
+        assert all(totals[c] == pytest.approx(ref[c], rel=1e-12) for c in ref)
+
+
+def test_stages_serve_batches_in_entry_order(monkeypatch):
+    """Slow links make a prompt's handoff take longer than its stage time:
+    in the event engine a later, smaller prefill job overtakes at stage 1
+    three times (rid 5 passes 4, 7 passes 6, 10 passes 9). The pipeline keeps
+    each stage in entry order, so batches leave in the order they entered.
+    The requests before the first overtaken one and after the last
+    overtaking one keep their times."""
+    system = make_system(alpha_noc_s_per_byte=1e-6, alpha_nop_s_per_byte=1e-6)
+    model = make_model(n_layers=4)
+    plan = _plan(system, model, pp_prefill=2, pp_decode=2)
+    tr = synth_trace("custom", 12, 2000.0, seed=3, mean_input=64, mean_output=6)
+    args = (system, model, plan, tr, SimConfig(len_bucket=4), 65.0)
+    entered, left = defaultdict(list), defaultdict(list)
+    traverse = serving._Sim._traverse
+
+    def spy_traverse(self, ctx, states, rows, key):
+        entered[ctx.phase].append([st.req.rid for st in states])
+        traverse(self, ctx, states, rows, key)
+
+    def spy_finish(phase, finish):
+        def spy(self, states):
+            left[phase].append([st.req.rid for st in states])
+            finish(self, states)
+        return spy
+
+    monkeypatch.setattr(serving._Sim, "_traverse", spy_traverse)
+    for phase, name in ((Role.PREFILL, "_finish_prefill"), (Role.DECODE, "_finish_beat")):
+        monkeypatch.setattr(serving._Sim, name, spy_finish(phase, getattr(serving._Sim, name)))
+    new = simulate(*args)
+    assert entered and left == entered
+    monkeypatch.undo()
+    _, old, events = _run_both(*args)
+    assert events.overtakes == 3
+    moved = {r.rid for r, o in zip(new.requests, old.requests) if r != o}
+    assert moved == set(range(4, 11))
+    assert all(new.requests[rid].e2e_s != old.requests[rid].e2e_s for rid in moved)
+
+
+@pytest.mark.parametrize("pp", [1, 2, 4])
+def test_each_batch_takes_two_events_at_any_depth(monkeypatch, pp):
+    """Events are the arrivals, two per KV page sent (its bridge send and its
+    arrival) and two per batch (stage 0 going free, the batch leaving),
+    whatever the pipeline depth; the per-stage engine takes more per stage."""
+    counts = defaultdict(int)
+
+    def counted(name):
+        fn = getattr(serving._Sim, name)
+
+        def spy(self, *args):
+            counts[name] += 1
+            fn(self, *args)
+        monkeypatch.setattr(serving._Sim, name, spy)
+
+    counted("_traverse")
+    counted("_bridge_send")
+    system, model, _, tr, cfg, temps = _oracle_inputs("continuous")
+    plan = _plan(system, model, tp_prefill=2, pp_prefill=min(pp, 2), tp_decode=1,
+                 pp_decode=pp)
+    m = simulate(system, model, plan, tr, cfg, temps)
+    assert counts["_traverse"] > 2 and counts["_bridge_send"] > 0
+    assert m.events == len(tr) + 2 * counts["_bridge_send"] + 2 * counts["_traverse"]
+    monkeypatch.undo()
+    _, old, _ = _run_both(system, model, plan, tr, cfg, temps)
+    assert (old.events > m.events) is (pp > 1)
 
 
 def _direct_stage_cost(sim, ctx, s: int, key) -> tuple[serving._StageCost, list]:
